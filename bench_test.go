@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/event"
-	"repro/internal/experiments"
 	"repro/internal/nfa"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -491,19 +490,13 @@ func benchSequentialEngines(b *testing.B, qs []*query.Query, cfg core.Config, ev
 
 func benchRuntime(b *testing.B, qs []*query.Query, shards int, cfg core.Config, events []*event.Event) {
 	b.Helper()
-	benchRuntimeCfg(b, qs, runtimepkg.Config{Shards: shards, PartitionBy: "name", BatchSize: 4096}, cfg, events)
-}
-
-func benchRuntimeCfg(b *testing.B, qs []*query.Query, rcfg runtimepkg.Config, cfg core.Config, events []*event.Event) {
-	b.Helper()
 	b.ReportAllocs()
 	var matches uint64
 	for i := 0; i < b.N; i++ {
 		// Construction and registration are setup, not the serving path
-		// being measured — at fan-out scale (1024 queries x 4 shards)
-		// timing 4096 engine builds would dilute the ingest comparison.
+		// being measured.
 		b.StopTimer()
-		rt := runtimepkg.New(rcfg)
+		rt := runtimepkg.New(runtimepkg.Config{Shards: shards, PartitionBy: "name", BatchSize: 4096})
 		for _, q := range qs {
 			if _, err := rt.Register(q, cfg, func(*core.Match) {}); err != nil {
 				b.Fatal(err)
@@ -540,81 +533,6 @@ func BenchmarkRuntimeMultiQuery(b *testing.B) {
 	b.Run("runtime-4x4", func(b *testing.B) {
 		benchRuntime(b, qs, 4, cfg, events)
 	})
-}
-
-// BenchmarkRuntimeFanout is the PR 3 headline: 256 parameterized standing
-// queries served with naive deliver-to-all fan-out versus the
-// predicate-indexed router. Naive ingest cost is O(Q) per event; the
-// router touches only the ~Q/symbols engines whose equality atoms match,
-// so the gap widens linearly with the query count.
-func BenchmarkRuntimeFanout(b *testing.B) {
-	qs := experiments.FanoutQueries(256)
-	events := experiments.FanoutEvents(20000)
-	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 256}
-	rcfg := runtimepkg.Config{Shards: 4, PartitionBy: "name", BatchSize: 4096}
-	b.Run("naive-256", func(b *testing.B) {
-		cfg := rcfg
-		cfg.NaiveFanout = true
-		benchRuntimeCfg(b, qs, cfg, ecfg, events)
-	})
-	b.Run("router-256", func(b *testing.B) {
-		benchRuntimeCfg(b, qs, rcfg, ecfg, events)
-	})
-}
-
-// BenchmarkRuntimeFanoutShared is the PR 5 headline: 256 standing queries
-// in shared-prefix families of 32, run with cross-query subplan sharing
-// off versus on. Unshared execution buffers and joins every family's
-// `A;B` prefix once per member engine; sharing materializes it once per
-// shard and fans the partial matches out.
-func BenchmarkRuntimeFanoutShared(b *testing.B) {
-	qs := experiments.FanoutSharedQueries(256)
-	events := experiments.FanoutSharedEvents(20000)
-	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 256}
-	rcfg := runtimepkg.Config{Shards: 4, PartitionBy: "name", BatchSize: 4096}
-	b.Run("unshared-256", func(b *testing.B) {
-		cfg := rcfg
-		cfg.NoSharing = true
-		benchRuntimeCfg(b, qs, cfg, ecfg, events)
-	})
-	b.Run("shared-256", func(b *testing.B) {
-		benchRuntimeCfg(b, qs, rcfg, ecfg, events)
-	})
-}
-
-// BenchmarkRuntimeThresholdFamily is the PR 10 headline: 256 standing
-// queries that differ only in their range-atom constants, run with the
-// gen-1 router (every distinct threshold is an interned residual evaluated
-// per event) versus the gen-2 sorted-threshold dispatch (one binary search
-// per event per direction, cost independent of the threshold count).
-func BenchmarkRuntimeThresholdFamily(b *testing.B) {
-	qs := experiments.ThresholdQueries(256)
-	events := experiments.ThresholdEvents(20000)
-	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 256}
-	rcfg := runtimepkg.Config{Shards: 4, PartitionBy: "name", BatchSize: 4096}
-	b.Run("gen1-residual-256", func(b *testing.B) {
-		cfg := rcfg
-		cfg.NoRangeDispatch = true
-		benchRuntimeCfg(b, qs, cfg, ecfg, events)
-	})
-	b.Run("gen2-range-256", func(b *testing.B) {
-		benchRuntimeCfg(b, qs, rcfg, ecfg, events)
-	})
-}
-
-// BenchmarkRuntimeFanoutScaling sweeps the standing-query count with the
-// router on: events/s should degrade far slower than 1/Q because per-event
-// work is O(matching engines + dispatch), not O(Q).
-func BenchmarkRuntimeFanoutScaling(b *testing.B) {
-	events := experiments.FanoutEvents(20000)
-	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 256}
-	rcfg := runtimepkg.Config{Shards: 4, PartitionBy: "name", BatchSize: 4096}
-	for _, n := range []int{64, 256, 1024} {
-		qs := experiments.FanoutQueries(n)
-		b.Run(fmt.Sprintf("queries=%d", n), func(b *testing.B) {
-			benchRuntimeCfg(b, qs, rcfg, ecfg, events)
-		})
-	}
 }
 
 // BenchmarkRuntimeScaling sweeps the shard count; with GOMAXPROCS >= the

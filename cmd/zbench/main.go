@@ -7,32 +7,14 @@
 //	zbench -exp fig8,fig12      # run selected experiments
 //	zbench -scale 0.25          # quarter-size workloads
 //	zbench -list                # list experiment ids
-//	zbench -json -out BENCH.json # machine-readable baseline (see below)
 //
 // Output is one text table per experiment, with the paper's expectations
 // attached as notes; EXPERIMENTS.md records a full paper-vs-measured run.
-//
-// With -json, zbench instead emits one JSON document ("zstream-bench/v1"):
-//
-//	{
-//	  "schema": "zstream-bench/v1",
-//	  "scale": 0.1,
-//	  "experiments": [
-//	    {"id": "fig8", "title": "...", "series": [
-//	      {"label": "sel=1/8", "runs": [
-//	        {"plan": "left-deep", "events_per_sec": 94000,
-//	         "matches": 51673, "allocs_per_event": 0.9,
-//	         "bytes_per_event": 120.5, "peak_mem_mb": 0.21}]}]}]
-//	}
-//
-// events_per_sec is machine-dependent; allocs_per_event and
-// bytes_per_event are not. cmd/benchdiff compares two such documents and
-// enforces the CI regression gate against the committed BENCH_*.json
-// baseline.
+// Performance of the multi-query runtime is measured by bench/ (see
+// bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -63,28 +45,13 @@ var registry = []struct {
 	{"abl-hash", experiments.AblationHash, "ablation: hash equality"},
 	{"abl-eat", experiments.AblationEAT, "ablation: EAT push-down"},
 	{"abl-batch", experiments.AblationBatchSize, "ablation: batch size"},
-	{"fanout", experiments.Fanout, "multi-query fan-out: predicate router vs naive deliver-to-all"},
-	{"durability", experiments.Durability, "durability plane: WAL off vs fsync policies"},
-	{"fanout-shared", experiments.FanoutShared, "cross-query shared-subplan execution vs unshared"},
-	{"threshold-family", experiments.ThresholdFamily, "range-atom dispatch: sorted-threshold tables vs interned residuals"},
-}
-
-// Doc is the -json output document ("zstream-bench/v1"). It deliberately
-// omits timestamps and host details so regenerating a baseline on the same
-// machine yields minimal diffs.
-type Doc struct {
-	Schema      string                `json:"schema"`
-	Scale       float64               `json:"scale"`
-	Experiments []*experiments.Result `json:"experiments"`
 }
 
 func main() {
 	var (
-		expFlag  = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		scale    = flag.Float64("scale", 1.0, "workload scale factor")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		jsonFlag = flag.Bool("json", false, "emit the zstream-bench/v1 JSON document instead of text tables")
-		out      = flag.String("out", "", "write output to this file instead of stdout")
+		expFlag = flag.String("exp", "", "comma-separated experiment ids (default: all)")
+		scale   = flag.Float64("scale", 1.0, "workload scale factor")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -101,8 +68,7 @@ func main() {
 			want[strings.TrimSpace(id)] = true
 		}
 	}
-	doc := Doc{Schema: "zstream-bench/v1", Scale: *scale}
-	var text strings.Builder
+	ran := 0
 	for _, e := range registry {
 		if len(want) > 0 && !want[e.id] {
 			continue
@@ -112,36 +78,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "zbench: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		if *jsonFlag {
-			fmt.Fprintf(os.Stderr, "zbench: %s done\n", e.id)
-		} else {
-			text.WriteString(r.Table())
-			text.WriteByte('\n')
-		}
-		doc.Experiments = append(doc.Experiments, r)
+		fmt.Println(r.Table())
+		ran++
 	}
-	if len(doc.Experiments) == 0 {
+	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "zbench: no experiment matched %q (use -list)\n", *expFlag)
 		os.Exit(1)
 	}
-
-	var payload []byte
-	if *jsonFlag {
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zbench: marshal: %v\n", err)
-			os.Exit(1)
-		}
-		payload = append(b, '\n')
-	} else {
-		payload = []byte(text.String())
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, payload, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "zbench: write %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		return
-	}
-	os.Stdout.Write(payload)
 }

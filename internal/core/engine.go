@@ -139,7 +139,7 @@ type Engine struct {
 
 	// Counters are atomics so Snapshot may be read from another goroutine
 	// (the concurrent runtime aggregates Stats while workers run). The
-	// engine itself remains single-writer: Process/Flush/Sync must not be
+	// engine itself remains single-writer: Process/Flush/SyncAt must not be
 	// called concurrently.
 	events   atomic.Uint64
 	matches  atomic.Uint64
@@ -441,7 +441,7 @@ func (e *Engine) minFinalEnd() (int64, bool) {
 }
 
 // MatchHorizon returns a lower bound on the End of any match a future
-// Process, Sync or Flush call may emit: every assembly round ends its new
+// Process, SyncAt or Flush call may emit: every assembly round ends its new
 // composites on a previously unconsumed final-class instance, so no future
 // match can end before the earliest such instance. When no unconsumed
 // final-class events are buffered (and no late events are pending in the
@@ -462,25 +462,18 @@ func (e *Engine) MatchHorizon() int64 {
 	return h
 }
 
-// Sync closes the current idle round early, running an assembly round if
+// SyncAt closes the current idle round early, running an assembly round if
 // the final event classes have unconsumed instances. The concurrent
 // runtime calls it at shard-batch boundaries so matches are emitted (and
-// the merge watermark advances) without waiting for BatchSize events. It
-// is a no-op when no events arrived since the last round.
-func (e *Engine) Sync() {
-	if e.batchFill == 0 {
-		return
-	}
-	e.endBatch(e.now)
-}
-
-// SyncAt is Sync for engines behind a router: the engine no longer sees
-// every stream event, so its clock is advanced to the stream time ts
-// first, and — even when no events were delivered since the last round —
-// an assembly round still runs whenever the match horizon lags the stream
-// (unconfirmed records, e.g. a pending trailing negation, whose
-// confirmation depends only on time passing). Without that round a starved
-// engine would hold the merge watermark back indefinitely.
+// the merge watermark advances) without waiting for BatchSize events.
+//
+// An engine behind a router does not see every stream event, so its clock
+// is advanced to the stream time ts first, and — even when no events were
+// delivered since the last round — an assembly round still runs whenever
+// the match horizon lags the stream (unconfirmed records, e.g. a pending
+// trailing negation, whose confirmation depends only on time passing).
+// Without that round a starved engine would hold the merge watermark back
+// indefinitely.
 func (e *Engine) SyncAt(ts int64) {
 	if e.reorder != nil {
 		// Drive the reorder clock to the stream time first: a routed

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	stdruntime "runtime"
 	"strings"
 	"time"
 
@@ -12,37 +11,32 @@ import (
 	"repro/internal/query"
 )
 
-// Run is one measured execution of a plan over a workload. AllocsPerEvent
-// and BytesPerEvent are heap-allocation costs per input event measured via
-// runtime.ReadMemStats around the run (the `-json` benchmark baseline and
-// the CI regression gate compare them machine-independently).
+// Run is one measured execution of a plan over a workload.
 type Run struct {
-	Plan           string  `json:"plan"`
-	Throughput     float64 `json:"events_per_sec"`
-	Matches        uint64  `json:"matches"`
-	PeakMemMB      float64 `json:"peak_mem_mb,omitempty"`
-	InvCost        float64 `json:"inv_cost,omitempty"` // 1 / estimated cost (cost-model figures)
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
+	Plan       string
+	Throughput float64 // events per second
+	Matches    uint64
+	PeakMemMB  float64
+	InvCost    float64 // 1 / estimated cost (cost-model figures)
 }
 
 // Series is one sweep point (one x-axis value) with its per-plan runs.
 type Series struct {
-	Label string `json:"label"`
-	Runs  []Run  `json:"runs"`
+	Label string
+	Runs  []Run
 }
 
 // Result is one regenerated table or figure.
 type Result struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
+	ID    string
+	Title string
 	// Columns selects which Run fields the table shows.
-	ShowThroughput bool     `json:"-"`
-	ShowMemory     bool     `json:"-"`
-	ShowInvCost    bool     `json:"-"`
-	ShowMatches    bool     `json:"-"`
-	Series         []Series `json:"series"`
-	Notes          []string `json:"notes,omitempty"`
+	ShowThroughput bool
+	ShowMemory     bool
+	ShowInvCost    bool
+	ShowMatches    bool
+	Series         []Series
+	Notes          []string
 }
 
 // Table renders the result as an aligned text table.
@@ -80,33 +74,16 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// measureAllocs runs fn and returns its wall-clock duration plus the heap
-// mallocs and bytes it allocated (cumulative counters, so concurrent GC
-// cannot make them go backwards). The timer brackets fn alone — the
-// stop-the-world ReadMemStats calls scale with live heap size and must not
-// pollute sub-second throughput measurements. The experiments are
-// single-goroutine, so the delta is attributable.
-func measureAllocs(fn func()) (elapsed float64, allocs, bytes uint64) {
-	var before, after stdruntime.MemStats
-	stdruntime.ReadMemStats(&before)
-	start := time.Now()
-	fn()
-	elapsed = time.Since(start).Seconds()
-	stdruntime.ReadMemStats(&after)
-	return elapsed, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-}
-
 // benchReps is how many times each measurement runs; the best throughput
-// and lowest allocation count are reported (standard best-of-N practice:
-// small-scale runs are sub-second, and scheduler noise only ever slows a
-// run down or adds allocations, never the reverse).
+// is reported (standard best-of-N practice: small-scale runs are
+// sub-second, and scheduler noise only ever slows a run down).
 const benchReps = 2
 
 // measureBest runs one measurement pass benchReps times via makePass
 // (which returns a closure executing the pass plus a post-pass stats
-// reader) and folds the reps into one Run: best throughput, lowest
-// allocation counts, last matches/peak-mem (identical across reps —
-// the engines are deterministic).
+// reader) and folds the reps into one Run: best throughput, last
+// matches/peak-mem (identical across reps — the engines are
+// deterministic).
 func measureBest(n float64, makePass func() (pass func(), stats func() (matches uint64, peakMemMB float64), err error)) (Run, error) {
 	var best Run
 	for rep := 0; rep < benchReps; rep++ {
@@ -114,22 +91,12 @@ func measureBest(n float64, makePass func() (pass func(), stats func() (matches 
 		if err != nil {
 			return Run{}, err
 		}
-		elapsed, allocs, bytes := measureAllocs(pass)
-		matches, peakMB := stats()
-		r := Run{
-			Throughput:     n / elapsed,
-			Matches:        matches,
-			PeakMemMB:      peakMB,
-			AllocsPerEvent: float64(allocs) / n,
-			BytesPerEvent:  float64(bytes) / n,
+		start := time.Now()
+		pass()
+		if tput := n / time.Since(start).Seconds(); tput > best.Throughput {
+			best.Throughput = tput
 		}
-		if rep == 0 || r.Throughput > best.Throughput {
-			best.Throughput = r.Throughput
-		}
-		if rep == 0 || r.AllocsPerEvent < best.AllocsPerEvent {
-			best.AllocsPerEvent, best.BytesPerEvent = r.AllocsPerEvent, r.BytesPerEvent
-		}
-		best.Matches, best.PeakMemMB = r.Matches, r.PeakMemMB
+		best.Matches, best.PeakMemMB = stats()
 	}
 	return best, nil
 }
@@ -192,22 +159,4 @@ func (s Scale) n(base int) int {
 		n = 1000
 	}
 	return n
-}
-
-// All runs every experiment at the given scale, in paper order.
-func All(scale Scale) ([]*Result, error) {
-	type fn func(Scale) (*Result, error)
-	fns := []fn{Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Table3, Fig14,
-		Fig15, Fig16, Table4Exp, Fig17, Table5, OptimizerTiming,
-		AblationHash, AblationEAT, AblationBatchSize, Fanout, FanoutShared,
-		ThresholdFamily}
-	var out []*Result
-	for _, f := range fns {
-		r, err := f(scale)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

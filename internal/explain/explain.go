@@ -216,9 +216,9 @@ type Sharing struct {
 // Router describes how the predicate-indexed router delivers events to the
 // query's engine group.
 type Router struct {
-	// Mode is "indexed" (per-class admission masks), "fallback" (the
+	// Mode is "indexed" (per-class admission masks) or "fallback" (the
 	// subscription could not be compiled; every event is delivered with
-	// all classes admitted) or "naive" (router disabled).
+	// all classes admitted).
 	Mode string `json:"mode"`
 	// Events is the number of events routed past the subscription since
 	// it was added, summed across shards.

@@ -222,23 +222,28 @@ func (r *Router) DisableRangeDispatch() { r.noRange = true }
 // schema tables are updated incrementally; the subscription takes effect
 // for the next Route call, which — with the runtime's queue-ordered
 // registration ops — is an exact stream position.
+//
+// A nil info subscribes without predicates: a fallback subscription that
+// receives every event with MaskAll (deliver-to-all).
 func (r *Router) Add(id int64, info *query.Info, payload any) {
-	s := &sub{id: id, payload: payload, baseEvents: r.stats.Events}
-	// Class bits are indexed by ClassInfo.Idx, which suffix-only infos
-	// (shared-prefix consumers) retain from the full query, so sizing must
-	// follow the max index, not the class count.
-	for _, ci := range info.Classes {
-		if ci.Idx+1 > s.nclasses {
-			s.nclasses = ci.Idx + 1
+	s := &sub{id: id, payload: payload, baseEvents: r.stats.Events, fallback: info == nil}
+	if info != nil {
+		// Class bits are indexed by ClassInfo.Idx, which suffix-only infos
+		// (shared-prefix consumers) retain from the full query, so sizing
+		// must follow the max index, not the class count.
+		for _, ci := range info.Classes {
+			if ci.Idx+1 > s.nclasses {
+				s.nclasses = ci.Idx + 1
+			}
 		}
-	}
-	if s.nclasses > 64 {
-		s.fallback = true
-	} else if classes, always, ok := r.compileClasses(info); ok {
-		s.classes, s.alwaysMask = classes, always
-		s.admitted = make([]uint64, s.nclasses)
-	} else {
-		s.fallback = true // predicate compilation failed
+		if s.nclasses > 64 {
+			s.fallback = true
+		} else if classes, always, ok := r.compileClasses(info); ok {
+			s.classes, s.alwaysMask = classes, always
+			s.admitted = make([]uint64, s.nclasses)
+		} else {
+			s.fallback = true // predicate compilation failed
+		}
 	}
 	r.subs = append(r.subs, s)
 	r.byID[id] = s

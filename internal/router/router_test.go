@@ -112,6 +112,43 @@ func TestManyClassFallback(t *testing.T) {
 	}
 }
 
+// TestNilInfoSubscriptionReceivesEverything: a subscription without
+// predicates (the runtime's deliver-to-all reference) gets every event
+// unproven, whatever its schema and whatever happens to the indexed
+// subscriptions around it.
+func TestNilInfoSubscriptionReceivesEverything(t *testing.T) {
+	r := New()
+	ibm := info(t, `PATTERN A; B WHERE A.name = 'IBM' AND B.price > 90 WITHIN 10`)
+	r.Add(1, ibm, nil)
+	r.Add(2, nil, "payload")
+	stock := event.NewStock(1, 1, 1, "Sun", 50, 1)
+	weblog := event.NewWeblog(2, 2, "1.2.3.4", "/", "x")
+	for step, churn := range []func(){
+		func() {},
+		func() { r.Add(3, ibm, nil) }, // incremental add into compiled tables
+		func() { r.Remove(1) },        // drops the tables
+		func() { r.Remove(3) },        // the fallback is the only sub left
+	} {
+		churn()
+		for _, ev := range []*event.Event{stock, weblog} {
+			if got := routeOne(r, ev); got[2] != MaskAll {
+				t.Errorf("step %d, %s event: nil-info mask = %x, want MaskAll", step, ev.Schema.Name(), got[2])
+			}
+		}
+	}
+	if sb := r.Route([]*event.Event{stock}); len(sb) != 1 || sb[0].Payload != "payload" {
+		t.Errorf("sub-batches = %+v, want the nil-info subscription's payload alone", sb)
+	}
+	si, ok := r.Describe(2)
+	if !ok || !si.Fallback || si.Classes != nil || si.Events != 9 {
+		t.Errorf("Describe = %+v, %v; want a fallback that saw all 9 events", si, ok)
+	}
+	r.Remove(2)
+	if got := routeOne(r, stock); len(got) != 0 || r.Subs() != 0 {
+		t.Errorf("after remove delivered to %v with %d subs, want nothing", got, r.Subs())
+	}
+}
+
 func TestTsEqualityStaysResidual(t *testing.T) {
 	r := New()
 	r.Add(1, info(t, `PATTERN A; B WHERE A.ts = 5 WITHIN 10`), nil)

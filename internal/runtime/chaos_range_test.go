@@ -35,10 +35,9 @@ func chaosChurnRun(t testing.TB, srcs []string, cfg Config, ecfg core.Config,
 	events []*event.Event, arm func(rt *Runtime, ids []QueryID)) (transcript []string, quarantined map[int]bool, rangeEntries uint64) {
 	t.Helper()
 	if arm != nil {
-		cfg.Injector = faultinject.New()
+		cfg.test.injector = faultinject.New()
 	}
 	rt := New(cfg)
-	rt.hashSeed = sharedSeed
 	ids := make([]QueryID, len(srcs))
 	register := func(i int) {
 		q := query.MustParse(srcs[i])
@@ -113,7 +112,7 @@ func TestChaosRangeChurnUnderQuarantine(t *testing.T) {
 			baseline, _, baseEntries := chaosChurnRun(t, srcs, cfg, ecfg, events, nil)
 			chaos, quarantined, chaosEntries := chaosChurnRun(t, srcs, cfg, ecfg, events,
 				func(rt *Runtime, ids []QueryID) {
-					rt.cfg.Injector.Arm(faultinject.Rule{
+					rt.cfg.test.injector.Arm(faultinject.Rule{
 						Site:  faultinject.SiteEngineBatch,
 						Shard: faultinject.AnyShard,
 						ID:    gidOf(t, rt, ids[victim]),

@@ -26,9 +26,8 @@ func chaosRun(t testing.TB, srcs []string, cfg Config, ecfg core.Config,
 	events []*event.Event, arm func(rt *Runtime, ids []QueryID)) (transcript []string, quarantined map[int]bool) {
 	t.Helper()
 	inj := faultinject.New()
-	cfg.Injector = inj
+	cfg.test.injector = inj
 	rt := New(cfg)
-	rt.hashSeed = sharedSeed
 	ids := make([]QueryID, len(srcs))
 	for i, src := range srcs {
 		i := i
@@ -105,11 +104,11 @@ func TestChaosDifferentialEngineFault(t *testing.T) {
 		for _, shards := range []int{1, 2, 3} {
 			for _, naive := range []bool{false, true} {
 				t.Run(fmt.Sprintf("seed=%d/shards=%d/naive=%v", seed, shards, naive), func(t *testing.T) {
-					cfg := Config{Shards: shards, BatchSize: 64, NaiveFanout: naive}
+					cfg := Config{Shards: shards, BatchSize: 64, test: testHooks{naiveFanout: naive}}
 					baseline := fanoutRun(t, srcs, cfg, ecfg, events)
 					chaos, quarantined := chaosRun(t, srcs, cfg, ecfg, events,
 						func(rt *Runtime, ids []QueryID) {
-							rt.cfg.Injector.Arm(faultinject.Rule{
+							rt.cfg.test.injector.Arm(faultinject.Rule{
 								Site:  faultinject.SiteEngineBatch,
 								Shard: faultinject.AnyShard,
 								ID:    gidOf(t, rt, ids[victim]),
@@ -144,11 +143,11 @@ func TestChaosDifferentialNoSharing(t *testing.T) {
 	const victim = 8
 	for _, noShare := range []bool{false, true} {
 		t.Run(fmt.Sprintf("noSharing=%v", noShare), func(t *testing.T) {
-			cfg := Config{Shards: 2, BatchSize: 64, NoSharing: noShare}
+			cfg := Config{Shards: 2, BatchSize: 64, test: testHooks{noSharing: noShare}}
 			baseline := fanoutRun(t, srcs, cfg, ecfg, events)
 			chaos, quarantined := chaosRun(t, srcs, cfg, ecfg, events,
 				func(rt *Runtime, ids []QueryID) {
-					rt.cfg.Injector.Arm(faultinject.Rule{
+					rt.cfg.test.injector.Arm(faultinject.Rule{
 						Site:  faultinject.SiteEngineBatch,
 						Shard: faultinject.AnyShard,
 						ID:    gidOf(t, rt, ids[victim]),
@@ -201,7 +200,7 @@ func TestChaosDifferentialProducerFault(t *testing.T) {
 							nConsumers += gs.members
 						}
 					}
-					rt.cfg.Injector.Arm(faultinject.Rule{
+					rt.cfg.test.injector.Arm(faultinject.Rule{
 						Site:  faultinject.SiteProducerBatch,
 						Shard: faultinject.AnyShard,
 						ID:    prodID,
@@ -241,7 +240,7 @@ func TestChaosDifferentialEmitFault(t *testing.T) {
 			if gidOf(t, rt, ids[victim]) != gidOf(t, rt, ids[twin]) {
 				t.Fatalf("indices %d and %d did not dedupe; pick different ones", victim, twin)
 			}
-			rt.cfg.Injector.Arm(faultinject.Rule{
+			rt.cfg.test.injector.Arm(faultinject.Rule{
 				Site:  faultinject.SiteEmit,
 				Shard: MergerShard,
 				ID:    int64(ids[victim]),

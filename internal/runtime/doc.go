@@ -31,8 +31,8 @@
 //
 // # Cross-query sharing
 //
-// Unless Config.NoSharing is set, registration shares execution between
-// queries where provably safe (match transcripts stay byte-identical):
+// Registration shares execution between queries where provably safe
+// (match transcripts stay byte-identical):
 // textually identical queries collapse onto one engine group whose matches
 // fan out to every alias, and queries sharing a canonical class prefix
 // (query.SharablePrefix) consume one per-shard materialization of the

@@ -42,11 +42,6 @@ func (p WALErrorPolicy) String() string {
 	}
 }
 
-// defaultPartitionSeed seeds the deterministic partition hash when
-// DurConfig.Seed is zero; any fixed value works, it only has to be the
-// same across the original run and its replay.
-const defaultPartitionSeed uint64 = 0x5a53545245414d00 // "ZSTREAM\0"
-
 // DurConfig configures the durability plane (Config.Durability).
 type DurConfig struct {
 	// Dir is the write-ahead-log directory. Required.
@@ -64,9 +59,6 @@ type DurConfig struct {
 	CheckpointEvery int
 	// OnWALError picks the failure policy (default WALFailStop).
 	OnWALError WALErrorPolicy
-	// Seed overrides the deterministic partition-hash seed; zero uses a
-	// fixed default. A recovered log's persisted seed always wins.
-	Seed uint64
 	// RecoverEmit, consulted during recovery, returns the OnMatch callback
 	// to attach to a checkpointed query, given its original id and
 	// normalized text. nil (or a nil return) recovers the query without a
@@ -153,14 +145,9 @@ func NewDurable(cfg Config) (*Runtime, *RecoverInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	seed := d.Seed
-	if seed == 0 {
-		seed = defaultPartitionSeed
-	}
 	if res.Meta != nil {
 		// The log's persisted partitioning wins: replay must reproduce the
 		// original run's shard assignment bit-exactly.
-		seed = res.Meta.Seed
 		if res.Meta.Shards > 0 {
 			cfg.Shards = res.Meta.Shards
 		}
@@ -173,8 +160,9 @@ func NewDurable(cfg Config) (*Runtime, *RecoverInfo, error) {
 	// Safe to set after New: no event can be ingested and no worker sends
 	// happen until this function hands the runtime out; the channel sends
 	// below establish the necessary happens-before edges.
-	rt.walHash = true
-	rt.walSeed = seed
+	if res.Meta != nil {
+		rt.seed = res.Meta.Seed
+	}
 	if res.HaveWM {
 		rt.supEnd, rt.supCount, rt.supActive = res.WM.End, res.WM.Count, true
 		rt.wmEnd.Store(res.WM.End)
@@ -184,8 +172,8 @@ func NewDurable(cfg Config) (*Runtime, *RecoverInfo, error) {
 	}
 
 	w, err := wal.NewWriter(
-		wal.Options{Dir: d.Dir, Fsync: d.Fsync, SyncEvery: d.SyncEvery, SegmentBytes: d.SegmentBytes, Injector: cfg.Injector},
-		wal.Meta{Seed: seed, Shards: rt.cfg.Shards, PartitionBy: rt.cfg.PartitionBy},
+		wal.Options{Dir: d.Dir, Fsync: d.Fsync, SyncEvery: d.SyncEvery, SegmentBytes: d.SegmentBytes, Injector: cfg.test.injector},
+		wal.Meta{Seed: rt.seed, Shards: rt.cfg.Shards, PartitionBy: rt.cfg.PartitionBy},
 		res.LastSeg+1,
 	)
 	if err != nil {
@@ -452,32 +440,6 @@ func (rt *Runtime) crash() {
 	if rt.wal != nil {
 		rt.wal.CloseNoSync()
 	}
-}
-
-// durableShard is the deterministic partition hash for durable runtimes:
-// FNV-1a over the partition value, folded with the persisted seed and a
-// 64-bit avalanche mix so low-cardinality keys still spread across
-// shards. Replay reproduces the original assignment bit-exactly.
-func durableShard(v event.Value, seed uint64, shards int) int {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037) ^ seed
-	switch v.Kind {
-	case event.KindString:
-		for i := 0; i < len(v.S); i++ {
-			h ^= uint64(v.S[i])
-			h *= prime
-		}
-	case event.KindFloat:
-		u := math.Float64bits(v.F)
-		for i := 0; i < 8; i++ {
-			h ^= (u >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(shards))
 }
 
 // encodeCoreConfig projects an engine config onto its serializable subset

@@ -28,7 +28,7 @@ func durableQuerySrcs() []string {
 // zero-based registration index (recovered ids map back to it).
 func runDurable(t *testing.T, dir string, srcs []string, cfg Config, ecfg core.Config, inj *faultinject.Injector, events []*event.Event, from uint64, transcript *[]string) (*Runtime, error) {
 	t.Helper()
-	cfg.Injector = inj
+	cfg.test.injector = inj
 	cfg.Durability = &DurConfig{Dir: dir, Fsync: wal.FsyncBatch, CheckpointEvery: 300,
 		RecoverEmit: func(id QueryID, src string) func(*core.Match) {
 			return func(m *core.Match) {
@@ -88,7 +88,7 @@ func TestDurableCrashRecoveryDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		for _, noShare := range []bool{false, true} {
 			for _, naive := range []bool{false, true} {
-				base := Config{Shards: shards, BatchSize: 128, NoSharing: noShare, NaiveFanout: naive}
+				base := Config{Shards: shards, BatchSize: 128, test: testHooks{noSharing: noShare, naiveFanout: naive}}
 				// Crash-free reference on a fresh log.
 				var ref []string
 				rt, err := runDurable(t, t.TempDir(), srcs, base, ecfg, nil, events, 0, &ref)
@@ -201,7 +201,7 @@ func TestDurableMidStreamRegistration(t *testing.T) {
 
 	run := func(dir string, inj *faultinject.Injector, transcript *[]string) (*Runtime, error) {
 		cfg := base
-		cfg.Injector = inj
+		cfg.test.injector = inj
 		cfg.Durability = &DurConfig{Dir: dir, CheckpointEvery: 300,
 			RecoverEmit: func(id QueryID, src string) func(*core.Match) {
 				return func(m *core.Match) {
@@ -295,7 +295,7 @@ func TestDurableDegradePolicy(t *testing.T) {
 		Site: faultinject.SiteWALAppend, Shard: faultinject.AnyShard, Nth: 3, Act: faultinject.ActPanic,
 	})
 	cfg := base
-	cfg.Injector = inj
+	cfg.test.injector = inj
 	cfg.Durability = &DurConfig{Dir: t.TempDir(), OnWALError: WALDegrade}
 	rt2, _, err := NewDurable(cfg)
 	if err != nil {
@@ -384,7 +384,7 @@ func TestDurableFailStopSticky(t *testing.T) {
 	inj := faultinject.New().Arm(faultinject.Rule{
 		Site: faultinject.SiteWALAppend, Shard: faultinject.AnyShard, Nth: 1, Act: faultinject.ActPanic,
 	})
-	cfg := Config{Shards: 1, BatchSize: 4, Injector: inj}
+	cfg := Config{Shards: 1, BatchSize: 4, test: testHooks{injector: inj}}
 	cfg.Durability = &DurConfig{Dir: t.TempDir()}
 	rt, _, err := NewDurable(cfg)
 	if err != nil {

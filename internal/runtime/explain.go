@@ -62,10 +62,8 @@ type shardSnap struct {
 // snapshot serves one snapOp on the worker goroutine.
 func (w *worker) snapshot(op *snapOp) {
 	s := shardSnap{shard: w.id}
-	if w.router != nil {
-		s.routerStats = w.router.Stats()
-		s.rangeEntries = w.router.RangeTableSize()
-	}
+	s.routerStats = w.router.Stats()
+	s.rangeEntries = w.router.RangeTableSize()
 	for _, g := range w.groups {
 		s.groups = append(s.groups, groupTotals{gid: g.gid, totals: g.eng.OperatorTotals()})
 	}
@@ -81,10 +79,8 @@ func (w *worker) snapshot(op *snapOp) {
 		if g, ok := w.byGID[op.gid]; ok {
 			s.found = true
 			s.info = g.eng.BuildExplain()
-			if w.router != nil {
-				if si, ok := w.router.Describe(op.gid); ok {
-					s.sub = &si
-				}
+			if si, ok := w.router.Describe(op.gid); ok {
+				s.sub = &si
 			}
 		}
 		if op.prodID != 0 {
@@ -233,9 +229,6 @@ func (rt *Runtime) assembleDoc(id QueryID, q *query.Query, gid int64, members in
 // admission is delegated to the producer), so prefix classes report zero
 // admissions here.
 func (rt *Runtime) routerSection(q *query.Query, snaps []shardSnap, leafSeen, leafPassed []uint64) *explain.Router {
-	if rt.cfg.NaiveFanout {
-		return &explain.Router{Mode: "naive"}
-	}
 	var firstSub *router.SubInfo
 	var events uint64
 	admitted := make([]uint64, len(q.Info.Classes))
@@ -334,7 +327,7 @@ type RouterMetrics struct {
 type Metrics struct {
 	// Stats is the runtime aggregate (same as Runtime.Stats).
 	Stats Stats
-	// Router sums router counters across shards (zero under NaiveFanout).
+	// Router sums router counters across shards.
 	Router RouterMetrics
 	// Queries holds one row per live query, sorted by ID.
 	Queries []QueryMetrics

@@ -233,7 +233,7 @@ func (rt *Runtime) emitMatch(pm *pendingMatch) (ok bool) {
 			})
 		}
 	}()
-	rt.cfg.Injector.Hit(faultinject.SiteEmit, MergerShard, int64(pm.id))
+	rt.cfg.test.injector.Hit(faultinject.SiteEmit, MergerShard, int64(pm.id))
 	pm.emit(pm.m)
 	return true
 }

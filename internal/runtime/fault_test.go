@@ -78,7 +78,7 @@ func waitFaults(t *testing.T, rt *Runtime, n int) []QueryFault {
 
 func TestQuarantineIsolatesEngineFault(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 2, BatchSize: 4, Injector: inj})
+	rt := New(Config{Shards: 2, BatchSize: 4, test: testHooks{injector: inj}})
 	defer rt.Close()
 
 	var ibm, sun atomic.Int64
@@ -145,7 +145,7 @@ func TestQuarantineIsolatesEngineFault(t *testing.T) {
 
 func TestUnregisterAndReregisterQuarantined(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 2, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 2, test: testHooks{injector: inj}})
 	defer rt.Close()
 
 	var n int
@@ -192,7 +192,7 @@ func TestUnregisterAndReregisterQuarantined(t *testing.T) {
 
 func TestDedupeGroupFaultTakesAllAliases(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 2, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 2, test: testHooks{injector: inj}})
 	defer rt.Close()
 
 	src := riseSrc("IBM")
@@ -233,7 +233,7 @@ func TestDedupeGroupFaultTakesAllAliases(t *testing.T) {
 func TestAliasOntoQuarantinedGroup(t *testing.T) {
 	inj := faultinject.New().Arm(faultinject.Rule{Site: faultinject.SiteEngineSync,
 		Shard: faultinject.AnyShard, Nth: 1, Act: faultinject.ActPanic})
-	rt := New(Config{Shards: 1, BatchSize: 2, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 2, test: testHooks{injector: inj}})
 	defer rt.Close()
 
 	src := riseSrc("IBM")
@@ -334,7 +334,7 @@ func TestEmitFaultQuarantinesOnlyThatAlias(t *testing.T) {
 // for the rest of the run.
 func TestQuarantinedConsumerDetachesFromProducer(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 4, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 4, test: testHooks{injector: inj}})
 	defer rt.Close()
 
 	prefix := `PATTERN A; B; C
@@ -395,7 +395,7 @@ func TestQuarantinedConsumerDetachesFromProducer(t *testing.T) {
 
 func TestFaultMetricsExposed(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 2, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 2, test: testHooks{injector: inj}})
 	defer rt.Close()
 	id, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{}, func(*core.Match) {})
 	if err != nil {

@@ -38,7 +38,7 @@ func stallWorker(t *testing.T, rt *Runtime, inj *faultinject.Injector, sym strin
 func TestOverloadDropNewest(t *testing.T) {
 	inj := faultinject.New()
 	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 2,
-		Overload: OverloadDropNewest, Injector: inj})
+		Overload: OverloadDropNewest, test: testHooks{injector: inj}})
 	defer func() { inj.Release(); rt.Close() }()
 
 	var matches atomic.Int64
@@ -80,7 +80,7 @@ func TestOverloadDropNewest(t *testing.T) {
 func TestOverloadDropOldestPreservesOps(t *testing.T) {
 	inj := faultinject.New()
 	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 2,
-		Overload: OverloadDropOldest, Injector: inj})
+		Overload: OverloadDropOldest, test: testHooks{injector: inj}})
 	defer func() { inj.Release(); rt.Close() }()
 
 	idIBM, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},
@@ -131,7 +131,7 @@ func TestOverloadBlockWithTimeout(t *testing.T) {
 	inj := faultinject.New()
 	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 1,
 		Overload: OverloadBlockWithTimeout, OverloadTimeout: 10 * time.Millisecond,
-		Injector: inj})
+		test: testHooks{injector: inj}})
 	defer func() { inj.Release(); rt.Close() }()
 
 	if _, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},
@@ -156,7 +156,7 @@ func TestOverloadBlockWithTimeout(t *testing.T) {
 
 func TestIngestContextHonorsDeadline(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 1, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 1, test: testHooks{injector: inj}})
 	defer func() { inj.Release(); rt.Close() }()
 
 	if _, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},
@@ -187,7 +187,7 @@ func TestIngestContextHonorsDeadline(t *testing.T) {
 
 func TestCloseContextBoundedDrainAndReawait(t *testing.T) {
 	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 4, QueueLen: 1, Injector: inj})
+	rt := New(Config{Shards: 1, BatchSize: 4, QueueLen: 1, test: testHooks{injector: inj}})
 
 	var matches atomic.Int64
 	if _, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"fmt"
-	"hash/maphash"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,13 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/query"
+	"repro/internal/ref"
 )
-
-// sharedSeed pins the partition hash so a naive and a routed run shard the
-// stream identically — several query templates here are deliberately not
-// partition-local, and their (well-defined) partition-local output depends
-// on the event → shard assignment.
-var sharedSeed = maphash.MakeSeed()
 
 // Differential tests for the predicate-indexed router: with the SAME
 // runtime configuration, router-based delivery must produce byte-identical
@@ -76,7 +73,6 @@ func fanoutQuerySrcs(n, symbols int) []string {
 func fanoutRun(t testing.TB, srcs []string, cfg Config, ecfg core.Config, events []*event.Event) []string {
 	t.Helper()
 	rt := New(cfg)
-	rt.hashSeed = sharedSeed
 	var transcript []string
 	for i, src := range srcs {
 		i := i
@@ -128,7 +124,7 @@ func TestRouterDifferentialManyQueries(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
 				base := Config{Shards: shards, BatchSize: 128}
 				naiveCfg, routedCfg := base, base
-				naiveCfg.NaiveFanout = true
+				naiveCfg.test.naiveFanout = true
 				naive := fanoutRun(t, srcs, naiveCfg, ecfg, events)
 				routed := fanoutRun(t, srcs, routedCfg, ecfg, events)
 				if len(naive) == 0 {
@@ -151,13 +147,97 @@ func TestRouterDifferentialHashAndAdaptive(t *testing.T) {
 	events := stockStream(4000, 8, 23)
 	base := Config{Shards: 2, BatchSize: 64}
 	naiveCfg, routedCfg := base, base
-	naiveCfg.NaiveFanout = true
+	naiveCfg.test.naiveFanout = true
 	naive := fanoutRun(t, srcs, naiveCfg, ecfg, events)
 	routed := fanoutRun(t, srcs, routedCfg, ecfg, events)
 	if len(naive) == 0 {
 		t.Fatal("workload produced no matches; test is vacuous")
 	}
 	diffTranscripts(t, naive, routed)
+}
+
+// oracleKey renders a match the way ref.Find keys one: per class, in class
+// order, the constituent events' sequence numbers, classes joined by '|',
+// negated classes empty. Every fanoutQuerySrcs template RETURNs exactly its
+// non-negated classes in class order, so Fields line up with them.
+func oracleKey(q *query.Query, m *core.Match) string {
+	var sb strings.Builder
+	f := 0
+	for i, ci := range q.Info.Classes {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		if ci.Negated {
+			continue
+		}
+		for j, e := range m.Fields[f].Events {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(strconv.FormatUint(e.Seq, 10))
+		}
+		f++
+	}
+	return sb.String()
+}
+
+// TestRouterDifferentialOracle backs the deliver-to-all reference with the
+// semantics: on one shard, the partition-local templates (every class
+// filtered to one symbol: cases 0, 1, 4, 5, 6) must produce exactly the
+// brute-force oracle's match set, routed and deliver-to-all alike. The
+// other suites only prove the two paths agree with each other.
+func TestRouterDifferentialOracle(t *testing.T) {
+	var qs []*query.Query
+	for i, src := range fanoutQuerySrcs(56, 8) {
+		if c := i % 7; c != 2 && c != 3 {
+			qs = append(qs, query.MustParse(src))
+		}
+	}
+	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 64}
+	for _, naive := range []bool{true, false} {
+		t.Run(fmt.Sprintf("naive=%v", naive), func(t *testing.T) {
+			rt := New(Config{Shards: 1, BatchSize: 128, test: testHooks{naiveFanout: naive}})
+			got := make([][]string, len(qs))
+			for i, q := range qs {
+				if _, err := rt.Register(q, ecfg, func(m *core.Match) {
+					got[i] = append(got[i], oracleKey(q, m))
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Ingest stamps Seq on the copies; the oracle must see the same.
+			var events []*event.Event
+			for _, ev := range stockStream(2000, 8, 29) {
+				cp := *ev
+				if err := rt.Ingest(&cp); err != nil {
+					t.Fatal(err)
+				}
+				events = append(events, &cp)
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// qs keeps the template order, five per cycle of seven.
+			cases := [5]int{0, 1, 4, 5, 6}
+			var found [5]int // oracle matches per template
+			for i, q := range qs {
+				want, err := ref.Find(q, events)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slices.Sort(got[i])
+				if !slices.Equal(got[i], want) {
+					t.Errorf("query %d (%s): runtime %d matches, oracle %d", i, q, len(got[i]), len(want))
+				}
+				found[i%5] += len(want)
+			}
+			for c, n := range found {
+				if n == 0 {
+					t.Errorf("template case %d: oracle found no match; compared empty with empty", cases[c])
+				}
+			}
+		})
+	}
 }
 
 // churnRun is fanoutRun with live registration churn at exact stream
@@ -170,7 +250,6 @@ func TestRouterDifferentialHashAndAdaptive(t *testing.T) {
 func churnRun(t testing.TB, srcs []string, cfg Config, ecfg core.Config, events []*event.Event) []string {
 	t.Helper()
 	rt := New(cfg)
-	rt.hashSeed = sharedSeed
 	var transcript []string
 	register := func(i int) QueryID {
 		q := query.MustParse(srcs[i])
@@ -224,7 +303,7 @@ func TestRouterRegisterUnregisterMidStream(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			base := Config{Shards: shards, BatchSize: 100}
 			naiveCfg, routedCfg := base, base
-			naiveCfg.NaiveFanout = true
+			naiveCfg.test.naiveFanout = true
 			naive := churnRun(t, srcs, naiveCfg, ecfg, events)
 			routed := churnRun(t, srcs, routedCfg, ecfg, events)
 			if len(naive) == 0 {

@@ -72,9 +72,9 @@ func FuzzRouterDifferential(f *testing.F) {
 		base := Config{Shards: nShards, BatchSize: 64}
 
 		naiveCfg := base
-		naiveCfg.NaiveFanout = true
+		naiveCfg.test.naiveFanout = true
 		gen1Cfg := base
-		gen1Cfg.NoRangeDispatch = true
+		gen1Cfg.test.noRangeDispatch = true
 		gen2Cfg := base
 
 		naive := fanoutRun(t, srcs, naiveCfg, ecfg, events)

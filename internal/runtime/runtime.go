@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	stdruntime "runtime"
 	"sync"
@@ -79,40 +78,44 @@ type Config struct {
 	// worker falls behind, Ingest blocks once its queue is full
 	// (backpressure). Default 8.
 	QueueLen int
-	// NaiveFanout disables the predicate-indexed router: every event is
-	// delivered to every registered engine, the pre-PR3 behavior. Kept for
-	// differential testing (and as an escape hatch); the router is
-	// semantics-preserving, so production runs should leave this false.
-	NaiveFanout bool
-	// NoRangeDispatch reverts the router to generation-1 behavior: range
-	// atoms (`attr > const` etc.) are interned as residual predicates and
-	// evaluated once per distinct constant per event instead of compiling
-	// into sorted-threshold tables. Semantics-preserving; exists for
-	// differential testing and benchmarking the gen-2 win.
-	NoRangeDispatch bool
-	// NoSharing disables cross-query execution sharing: whole-query dedupe
-	// (textually identical queries aliased onto one engine with match
-	// fan-out) and shared-subplan prefixes (identical canonical class
-	// prefixes materialized once per shard). Sharing is semantics-
-	// preserving — match transcripts are byte-identical either way — so
-	// this knob exists for differential testing and as an escape hatch.
-	NoSharing bool
 	// Overload selects the ingest-side behavior when a worker queue is
 	// full. Default OverloadBlock (backpressure, never sheds).
 	Overload OverloadPolicy
 	// OverloadTimeout bounds the wait under OverloadBlockWithTimeout.
 	// Default 50ms.
 	OverloadTimeout time.Duration
-	// Injector, when non-nil, threads the deterministic fault-injection
-	// harness through every worker dispatch boundary and the merger's
-	// emit path (chaos tests only; production leaves it nil and pays one
-	// nil check per dispatch).
-	Injector *faultinject.Injector
 	// Durability, when non-nil, enables the write-ahead event log and
 	// batch-boundary checkpoints (see DurConfig). Durable runtimes are
 	// constructed with NewDurable, which also performs crash recovery;
 	// New ignores this field.
 	Durability *DurConfig
+
+	// test holds the in-package suites' switches; production code cannot
+	// set it, so every runtime outside this package's tests runs routed,
+	// range-dispatched, shared and uninjected.
+	test testHooks
+}
+
+// testHooks selects the reference configurations the differential, chaos,
+// fuzz and durable suites compare the production configuration against.
+// Each switch is semantics-preserving: transcripts must be byte-identical
+// with it on or off.
+type testHooks struct {
+	// naiveFanout subscribes every engine group and producer to the router
+	// with no predicates, so each receives every shard event unproven
+	// (router.MaskAll): deliver-to-all, the reference the routed path is
+	// checked against.
+	naiveFanout bool
+	// noRangeDispatch interns range atoms (`attr > const` etc.) as residual
+	// predicates instead of compiling them into sorted-threshold tables.
+	noRangeDispatch bool
+	// noSharing gives every registration a private engine group: no
+	// whole-query dedupe, no shared-subplan prefixes.
+	noSharing bool
+	// injector threads the deterministic fault-injection harness through
+	// every worker dispatch boundary, the merger's emit path and the WAL
+	// writer; nil costs one nil check per dispatch.
+	injector *faultinject.Injector
 }
 
 func (c Config) withDefaults() Config {
@@ -203,8 +206,8 @@ type registered struct {
 
 // groupKey identifies an engine group: the whole-query canonical
 // fingerprint plus the exact engine configuration. Queries that are not
-// canonicalizable (or registered with NoSharing) get a unique synthetic
-// key, so every group — deduped or not — lives in the same registry.
+// canonicalizable get a unique synthetic key, so every group — deduped or
+// not — lives in the same registry.
 type groupKey struct {
 	fp  string
 	cfg core.Config
@@ -240,11 +243,13 @@ type prefixState struct {
 
 // Runtime hosts many queries concurrently over one partitioned stream.
 type Runtime struct {
-	cfg      Config
-	hashSeed maphash.Seed
-	workers  []*worker
-	mergeCh  chan mergeMsg
-	merger   chan struct{} // closed when the merger goroutine exits
+	cfg Config
+	// seed keys the partition hash (see shard): defaultPartitionSeed, or the
+	// seed a recovered log persisted.
+	seed    uint64
+	workers []*worker
+	mergeCh chan mergeMsg
+	merger  chan struct{} // closed when the merger goroutine exits
 
 	ingested    atomic.Uint64
 	delivered   atomic.Uint64
@@ -288,13 +293,10 @@ type Runtime struct {
 	// durable.go). wal is the write-ahead log writer; walPend mirrors the
 	// current flush's events in ingest order, appended as one batch record
 	// before the workers see them. walActive clears when a WAL error
-	// degrades the runtime to memory-only (WALDegrade policy). walSeed and
-	// walHash switch shard() to the deterministic replayable hash.
+	// degrades the runtime to memory-only (WALDegrade policy).
 	wal          *wal.Writer
 	walPend      []*event.Event
 	walActive    atomic.Bool
-	walSeed      uint64
-	walHash      bool
 	walErrs      atomic.Uint64
 	walFaultsMu  sync.Mutex
 	walFaults    []WALFault
@@ -323,7 +325,7 @@ func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
 		cfg:      cfg,
-		hashSeed: maphash.MakeSeed(),
+		seed:     defaultPartitionSeed,
 		mergeCh:  make(chan mergeMsg, cfg.Shards*cfg.QueueLen+cfg.Shards),
 		merger:   make(chan struct{}),
 		live:     map[QueryID]*registered{},
@@ -338,12 +340,9 @@ func New(cfg Config) *Runtime {
 	for i := 0; i < cfg.Shards; i++ {
 		w := &worker{id: i, in: make(chan shardMsg, cfg.QueueLen), delivered: &rt.engineDeliv,
 			byGID: map[int64]*engineGroup{}, byProdID: map[int64]*prodEntry{},
-			faults: rt.faults, inj: cfg.Injector, crashing: &rt.crashing}
-		if !cfg.NaiveFanout {
-			w.router = router.New()
-			if cfg.NoRangeDispatch {
-				w.router.DisableRangeDispatch()
-			}
+			faults: rt.faults, inj: cfg.test.injector, crashing: &rt.crashing, router: router.New()}
+		if cfg.test.noRangeDispatch {
+			w.router.DisableRangeDispatch()
 		}
 		rt.workers = append(rt.workers, w)
 		go w.run(rt.mergeCh)
@@ -358,8 +357,8 @@ func New(cfg Config) *Runtime {
 // query's matches from the merger goroutine in global end-time order. The
 // query starts observing events ingested after Register returns.
 //
-// Unless Config.NoSharing is set, registration shares execution with
-// already-live queries where provably safe:
+// Registration shares execution with already-live queries where provably
+// safe:
 //
 //   - A query whose canonical fingerprint and engine configuration match a
 //     live group is aliased onto that group's engines (whole-query
@@ -402,7 +401,7 @@ func (rt *Runtime) registerLocked(id QueryID, q *query.Query, cfg core.Config, e
 	seq := rt.lastSeq // registration visibility barrier for shared readers
 
 	key := groupKey{fp: fmt.Sprintf("!unique:%d", id), cfg: cfg}
-	if !rt.cfg.NoSharing {
+	if !rt.cfg.test.noSharing {
 		if fp, ok := query.FingerprintQuery(q); ok {
 			key.fp = fp
 		}
@@ -442,7 +441,7 @@ func (rt *Runtime) registerLocked(id QueryID, q *query.Query, cfg core.Config, e
 	var prodInfo *query.Info
 	var prodID int64
 	k := 0
-	if !rt.cfg.NoSharing {
+	if !rt.cfg.test.noSharing {
 		if k = core.SharedPrefixLen(q, cfg); k > 0 {
 			if pfp, ok := query.PrefixFingerprint(q, k); ok {
 				prefixKey = pfp
@@ -516,6 +515,11 @@ func (rt *Runtime) registerLocked(id QueryID, q *query.Query, cfg core.Config, e
 		// the consumer's engine at all. ClassInfo.Idx values are retained,
 		// so admission masks still align with the full plan's class bits.
 		routerInfo = &query.Info{Classes: q.Info.Classes[k:], Preds: q.Info.Preds}
+	}
+	if rt.cfg.test.naiveFanout {
+		// Deliver-to-all reference: subscribe group and producer without
+		// predicates (router.Add's nil-info fallback).
+		routerInfo, prodInfo = nil, nil
 	}
 	// Flush buffered events first so the registration point is exact with
 	// respect to Ingest order; the op rides the same send phase.
@@ -659,33 +663,41 @@ func (rt *Runtime) ingest(ctx context.Context, ev *event.Event) error {
 	return nil
 }
 
-// shard routes an event by hashing its partition-key attribute. Durable
-// runtimes use a deterministic hash under a persisted seed so recovery
-// replays events to exactly the shards that saw them originally; the
-// default random per-process maphash seed would scatter them.
+// shard routes an event by hashing its partition-key attribute: FNV-1a
+// over the value, folded with the seed and a 64-bit avalanche mix so
+// low-cardinality keys still spread across shards. The hash is
+// deterministic, so a key lands on the same shard in every run — recovery
+// replays events to exactly the shards that saw them originally, and the
+// cross-shard order of equal-end-time matches is reproducible.
 func (rt *Runtime) shard(ev *event.Event) int {
 	if rt.cfg.Shards == 1 {
 		return 0
 	}
-	if rt.walHash {
-		return durableShard(ev.Get(rt.cfg.PartitionBy), rt.walSeed, rt.cfg.Shards)
-	}
-	var h maphash.Hash
-	h.SetSeed(rt.hashSeed)
-	v := ev.Get(rt.cfg.PartitionBy)
-	switch v.Kind {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) ^ rt.seed
+	switch v := ev.Get(rt.cfg.PartitionBy); v.Kind {
 	case event.KindString:
-		h.WriteString(v.S)
-	case event.KindFloat:
-		var b [8]byte
-		u := math.Float64bits(v.F)
-		for i := range b {
-			b[i] = byte(u >> (8 * i))
+		for i := 0; i < len(v.S); i++ {
+			h ^= uint64(v.S[i])
+			h *= prime
 		}
-		h.Write(b[:])
+	case event.KindFloat:
+		u := math.Float64bits(v.F)
+		for i := 0; i < 8; i++ {
+			h ^= (u >> (8 * i)) & 0xff
+			h *= prime
+		}
 	}
-	return int(h.Sum64() % uint64(rt.cfg.Shards))
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return int(h % uint64(rt.cfg.Shards))
 }
+
+// defaultPartitionSeed seeds the partition hash of every runtime that does
+// not recover a log; any fixed value works. A durable runtime persists it
+// in the log's meta record, and a recovered log's persisted seed wins.
+const defaultPartitionSeed uint64 = 0x5a53545245414d00 // "ZSTREAM\0"
 
 // sendLocked flushes every shard's pending batch — an empty batch is a
 // heartbeat carrying the current stream time, which keeps idle shards'

@@ -134,6 +134,51 @@ func TestShardedEqualsSingleEngine(t *testing.T) {
 	}
 }
 
+// TestPartitionDeterministic: the event → shard assignment is a pure
+// function of the partition key, the same in every runtime, durable or
+// not. Queries that are not partition-local (templates 2 and 3 join across
+// symbols, so their output depends on which symbols share a shard) must
+// therefore produce byte-identical transcripts on two independently
+// constructed runtimes.
+func TestPartitionDeterministic(t *testing.T) {
+	var srcs []string
+	for i, src := range fanoutQuerySrcs(42, 16) {
+		if i%7 == 2 || i%7 == 3 {
+			srcs = append(srcs, src)
+		}
+	}
+	events := stockStream(3000, 16, 5)
+	cfg := Config{Shards: 3, BatchSize: 64}
+	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 32}
+	first := fanoutRun(t, srcs, cfg, ecfg, events)
+	second := fanoutRun(t, srcs, cfg, ecfg, events)
+	if len(first) == 0 {
+		t.Fatal("workload produced no matches; test is vacuous")
+	}
+	diffTranscripts(t, first, second)
+
+	mem := New(cfg)
+	defer mem.Close()
+	dcfg := cfg
+	dcfg.Durability = &DurConfig{Dir: t.TempDir()}
+	dur, _, err := NewDurable(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	used := map[int]bool{}
+	for _, ev := range events[:200] {
+		m, d := mem.shard(ev), dur.shard(ev)
+		if m != d {
+			t.Fatalf("key %q: New shards it to %d, NewDurable to %d", ev.Get("name").S, m, d)
+		}
+		used[m] = true
+	}
+	if len(used) < 2 {
+		t.Fatalf("every key landed on one shard (%v); test is vacuous", used)
+	}
+}
+
 // TestPartitionSkew: one hot symbol receiving ~90% of the stream must not
 // change results or deadlock the backpressure path. A selective two-class
 // pattern keeps the hot partition's match count (and the test) small while

@@ -11,7 +11,7 @@ import (
 // Differential tests for cross-query execution sharing (whole-query dedupe
 // + shared-subplan prefixes): with the SAME runtime configuration, sharing
 // must produce byte-identical match transcripts (content and delivery
-// order) to unshared execution (Config.NoSharing), across prefix-family
+// order) to unshared execution (testHooks.noSharing), across prefix-family
 // query mixes, shard counts, router and naive fan-out, and live
 // registration churn.
 
@@ -83,7 +83,7 @@ func TestSharingDifferentialPrefixFamilies(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
 				base := Config{Shards: shards, BatchSize: 128}
 				unsharedCfg, sharedCfg := base, base
-				unsharedCfg.NoSharing = true
+				unsharedCfg.test.noSharing = true
 				unshared := fanoutRun(t, srcs, unsharedCfg, ecfg, events)
 				shared := fanoutRun(t, srcs, sharedCfg, ecfg, events)
 				if len(unshared) == 0 {
@@ -106,9 +106,9 @@ func TestSharingDifferentialRouterTemplates(t *testing.T) {
 	events := stockStream(5000, 16, 7)
 	for _, naive := range []bool{false, true} {
 		t.Run(fmt.Sprintf("naive=%v", naive), func(t *testing.T) {
-			base := Config{Shards: 2, BatchSize: 128, NaiveFanout: naive}
+			base := Config{Shards: 2, BatchSize: 128, test: testHooks{naiveFanout: naive}}
 			unsharedCfg, sharedCfg := base, base
-			unsharedCfg.NoSharing = true
+			unsharedCfg.test.noSharing = true
 			unshared := fanoutRun(t, srcs, unsharedCfg, ecfg, events)
 			shared := fanoutRun(t, srcs, sharedCfg, ecfg, events)
 			if len(unshared) == 0 {
@@ -129,7 +129,7 @@ func TestSharingDifferentialOptimalPlans(t *testing.T) {
 	events := stockStream(4000, 8, 17)
 	base := Config{Shards: 2, BatchSize: 64}
 	unsharedCfg, sharedCfg := base, base
-	unsharedCfg.NoSharing = true
+	unsharedCfg.test.noSharing = true
 	unshared := fanoutRun(t, srcs, unsharedCfg, ecfg, events)
 	shared := fanoutRun(t, srcs, sharedCfg, ecfg, events)
 	if len(unshared) == 0 {
@@ -153,7 +153,7 @@ func TestSharingDifferentialChurn(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			base := Config{Shards: shards, BatchSize: 100}
 			unsharedCfg, sharedCfg := base, base
-			unsharedCfg.NoSharing = true
+			unsharedCfg.test.noSharing = true
 			unshared := churnRun(t, srcs, unsharedCfg, ecfg, events)
 			shared := churnRun(t, srcs, sharedCfg, ecfg, events)
 			if len(unshared) == 0 {
@@ -176,7 +176,7 @@ func TestSharingDifferentialAdaptive(t *testing.T) {
 	events := stockStream(4000, 8, 23)
 	base := Config{Shards: 2, BatchSize: 64}
 	unsharedCfg, sharedCfg := base, base
-	unsharedCfg.NoSharing = true
+	unsharedCfg.test.noSharing = true
 	unshared := fanoutRun(t, srcs, unsharedCfg, ecfg, events)
 	shared := fanoutRun(t, srcs, sharedCfg, ecfg, events)
 	if len(unshared) == 0 {

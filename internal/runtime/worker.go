@@ -35,10 +35,11 @@ type shardMsg struct {
 }
 
 // regOp hands a registration to a worker. Exactly one of two shapes:
-//   - a new engine group: eng/sink/info are set, and — for shared-prefix
-//     consumers — prodID names the producer to attach to, with prod/
-//     prodInfo carrying the producer itself when this registration creates
-//     it;
+//   - a new engine group: eng/sink are set and info is its router
+//     subscription (nil subscribes without predicates: every event,
+//     unproven), and — for shared-prefix consumers — prodID names the
+//     producer to attach to, with prod/prodInfo carrying the producer
+//     itself and its subscription when this registration creates it;
 //   - an alias onto an existing group (whole-query dedupe): eng is nil and
 //     gid names the group, which is guaranteed live by queue order.
 //
@@ -167,11 +168,10 @@ type prodEntry struct {
 
 // worker owns one stream partition: a private physical engine per engine
 // group, fed in shard-local order, synced at every batch boundary, plus
-// the shard's shared-subplan producers. With a router attached (the
-// default), each event batch is classified once; producers are fed and
-// assembled before any consuming engine touches the batch, so consumers
-// always observe a producer at or ahead of their own stream position.
-// router == nil is the naive deliver-to-all path (Config.NaiveFanout).
+// the shard's shared-subplan producers. Each event batch is classified
+// once by the shard's router; producers are fed and assembled before any
+// consuming engine touches the batch, so consumers always observe a
+// producer at or ahead of their own stream position.
 type worker struct {
 	id        int
 	in        chan shardMsg
@@ -186,18 +186,18 @@ type worker struct {
 	crashing *atomic.Bool
 
 	slots    []*querySlot
-	groups   []*engineGroup // creation order (deterministic naive fan-out)
+	groups   []*engineGroup // creation order
 	byGID    map[int64]*engineGroup
 	prods    []*prodEntry
 	byProdID map[int64]*prodEntry
 	round    uint64
 
 	// shardTime is the largest timestamp of an event THIS shard received —
-	// the clock a naive (deliver-to-all) engine on this shard would have.
-	// Routed engines are advanced to it, not to the global stream time, so
-	// time-driven confirmations (trailing negation/closure) fire in exactly
-	// the same batch as they would without the router, keeping delivery
-	// order byte-identical between the two paths.
+	// the clock an engine that sees every shard event has. Engines are
+	// advanced to it, not to the global stream time, so time-driven
+	// confirmations (trailing negation/closure) fire in the same batch
+	// whether or not the router withheld events from the engine, keeping
+	// delivery order byte-identical to the deliver-to-all reference.
 	shardTime int64
 	// quarDirty flags that a group or producer was quarantined since the
 	// last structural sweep.
@@ -229,22 +229,20 @@ func (w *worker) flushProds() {
 	}
 }
 
-// recoverGroup is the deferred recovery arm of every engine-group
-// dispatch: a panic inside the group's engine (or an injected fault)
-// quarantines the group instead of killing the worker — and with it every
-// other query on the shard.
-func (w *worker) recoverGroup(g *engineGroup, site faultinject.Site) {
+// contain is the deferred recovery arm of every dispatch into query-owned
+// code: a panic inside an engine or producer (or an injected fault)
+// quarantines the owning unit instead of killing the worker — and with it
+// every other query on the shard. A faulted shared-prefix producer takes
+// every consumer group attached to it along (their shared prefix state is
+// unrecoverable).
+func (w *worker) contain(unit any, site faultinject.Site) {
 	if r := recover(); r != nil {
-		w.quarantineGroup(g, string(site), r, debug.Stack())
-	}
-}
-
-// recoverProd is the producer-side recovery arm: a faulted shared-prefix
-// producer quarantines every consumer group attached to it (their shared
-// prefix state is unrecoverable).
-func (w *worker) recoverProd(pe *prodEntry, site faultinject.Site) {
-	if r := recover(); r != nil {
-		w.quarantineProd(pe, string(site), r, debug.Stack())
+		switch u := unit.(type) {
+		case *engineGroup:
+			w.quarantineGroup(u, string(site), r, debug.Stack())
+		case *prodEntry:
+			w.quarantineProd(u, string(site), r, debug.Stack())
+		}
 	}
 }
 
@@ -287,42 +285,23 @@ func (w *worker) quarantineProd(pe *prodEntry, site string, rec any, stack []byt
 	}
 }
 
-// feedRouted delivers one routed sub-batch to a group's engine under panic
-// containment. MaskAll deliveries fall back to full filter evaluation
-// inside ProcessAdmitted.
-func (w *worker) feedRouted(g *engineGroup, evs []router.Delivery) {
-	defer w.recoverGroup(g, faultinject.SiteEngineBatch)
-	w.inj.Hit(faultinject.SiteEngineBatch, w.id, g.gid)
-	for _, d := range evs {
-		g.eng.ProcessAdmitted(d.Ev, d.Mask)
-	}
+// admitter is the feed target of a routed sub-batch: an engine or a
+// shared-prefix producer.
+type admitter interface {
+	ProcessAdmitted(ev *event.Event, classes uint64)
 }
 
-// feedNaive delivers one whole shard batch to a group's engine (naive
-// deliver-to-all path) under panic containment. The ingest side
-// pre-stamped a globally monotone Seq, so every engine adopts it and
-// shares the event unmutated — no per-engine copy on the hot path.
-func (w *worker) feedNaive(g *engineGroup, evs []*event.Event) {
-	defer w.recoverGroup(g, faultinject.SiteEngineBatch)
-	w.inj.Hit(faultinject.SiteEngineBatch, w.id, g.gid)
-	for _, ev := range evs {
-		g.eng.Process(ev)
-	}
-}
-
-func (w *worker) feedProdRouted(pe *prodEntry, evs []router.Delivery) {
-	defer w.recoverProd(pe, faultinject.SiteProducerBatch)
-	w.inj.Hit(faultinject.SiteProducerBatch, w.id, pe.id)
-	for _, d := range evs {
-		pe.prod.ProcessAdmitted(d.Ev, d.Mask)
-	}
-}
-
-func (w *worker) feedProdNaive(pe *prodEntry, evs []*event.Event) {
-	defer w.recoverProd(pe, faultinject.SiteProducerBatch)
-	w.inj.Hit(faultinject.SiteProducerBatch, w.id, pe.id)
-	for _, ev := range evs {
-		pe.prod.Process(ev)
+// feed delivers one routed sub-batch to its subscriber's engine or
+// producer under panic containment (the payload is the owning group or
+// producer entry). MaskAll deliveries fall back to full filter evaluation
+// inside ProcessAdmitted. The ingest side pre-stamped a globally monotone
+// Seq, so every target adopts it and shares the event unmutated — no
+// per-engine copy on the hot path.
+func (w *worker) feed(sb router.SubBatch, to admitter, site faultinject.Site) {
+	defer w.contain(sb.Payload, site)
+	w.inj.Hit(site, w.id, sb.ID)
+	for _, d := range sb.Events {
+		to.ProcessAdmitted(d.Ev, d.Mask)
 	}
 }
 
@@ -330,7 +309,7 @@ func (w *worker) feedProdNaive(pe *prodEntry, evs []*event.Event) {
 // panic containment. Quarantined members no longer bound the horizon:
 // their positions must not pin producer memory.
 func (w *worker) assembleProd(pe *prodEntry, batchMinTs int64, flush bool) {
-	defer w.recoverProd(pe, faultinject.SiteProducerBatch)
+	defer w.contain(pe, faultinject.SiteProducerBatch)
 	horizon := int64(math.MaxInt64)
 	for _, g := range pe.members {
 		if g.quarantined {
@@ -350,25 +329,22 @@ func (w *worker) assembleProd(pe *prodEntry, batchMinTs int64, flush bool) {
 // syncGroup runs one batch-boundary round (or final flush) under panic
 // containment.
 func (w *worker) syncGroup(g *engineGroup, flush bool) {
-	defer w.recoverGroup(g, faultinject.SiteEngineSync)
+	defer w.contain(g, faultinject.SiteEngineSync)
 	w.inj.Hit(faultinject.SiteEngineSync, w.id, g.gid)
-	switch {
-	case flush:
+	if flush {
 		g.eng.Flush()
-	case w.router != nil:
-		// Routed engines see only admitted events; SyncAt advances their
-		// clock to the shard time and still runs a round when pending
-		// confirmations lag behind it.
-		g.eng.SyncAt(w.shardTime)
-	default:
-		g.eng.Sync()
+		return
 	}
+	// Engines see only admitted events; SyncAt advances their clock to the
+	// shard time and still runs a round when pending confirmations lag
+	// behind it.
+	g.eng.SyncAt(w.shardTime)
 }
 
 // noteRejects credits router-level rejects to an adaptive engine's
 // statistics collector under panic containment.
 func (w *worker) noteRejects(g *engineGroup, n uint64) {
-	defer w.recoverGroup(g, faultinject.SiteEngineBatch)
+	defer w.contain(g, faultinject.SiteEngineBatch)
 	g.eng.NoteRouterRejects(n, w.shardTime)
 }
 
@@ -416,9 +392,7 @@ func (w *worker) register(op *regOp) {
 		pe := &prodEntry{id: op.prodID, prod: op.prod}
 		w.prods = append(w.prods, pe)
 		w.byProdID[op.prodID] = pe
-		if w.router != nil {
-			w.router.Add(op.prodID, op.prodInfo, pe)
-		}
+		w.router.Add(op.prodID, op.prodInfo, pe)
 	}
 	var g *engineGroup
 	if op.eng != nil {
@@ -432,9 +406,7 @@ func (w *worker) register(op *regOp) {
 			op.eng.ConnectSharedPrefix(g.reader)
 			pe.members = append(pe.members, g)
 		}
-		if w.router != nil {
-			w.router.Add(op.gid, op.info, g)
-		}
+		w.router.Add(op.gid, op.info, g)
 	} else {
 		g = w.byGID[op.gid]
 		if g == nil || g.quarantined {
@@ -488,9 +460,7 @@ func (w *worker) dropGroup(g *engineGroup) {
 		}
 	}
 	delete(w.byGID, g.gid)
-	if w.router != nil {
-		w.router.Remove(g.gid)
-	}
+	w.router.Remove(g.gid)
 	if g.reader == nil {
 		return
 	}
@@ -531,9 +501,7 @@ func (w *worker) dropProd(pe *prodEntry) {
 		}
 	}
 	delete(w.byProdID, pe.id)
-	if w.router != nil {
-		w.router.Remove(pe.id)
-	}
+	w.router.Remove(pe.id)
 }
 
 func (w *worker) run(out chan<- mergeMsg) {
@@ -628,73 +596,44 @@ func (w *worker) run(out chan<- mergeMsg) {
 				w.quarDirty = true
 			}
 		}
-		if w.router != nil {
-			// One classification pass decides, per event, which engines
-			// (and producers) receive it and with which admitted-class
-			// bits; groups whose classes all reject an event are never
-			// touched. Producers drain their deliveries and assemble
-			// first, so consumer rounds see an up-to-date shared prefix.
-			var nDeliv uint64
-			batches := w.router.Route(msg.events)
-			if len(w.prods) > 0 && len(msg.events) > 0 {
-				for _, sb := range batches {
-					pe, ok := sb.Payload.(*prodEntry)
-					if !ok || pe.quarantined {
-						continue
-					}
-					w.feedProdRouted(pe, sb.Events)
-				}
-				w.syncProds(msg.events[0].Ts)
-			}
+		// One classification pass decides, per event, which engines (and
+		// producers) receive it and with which admitted-class bits; groups
+		// whose classes all reject an event are never touched. Producers
+		// drain their deliveries and assemble first, so consumer rounds see
+		// an up-to-date shared prefix.
+		var nDeliv uint64
+		batches := w.router.Route(msg.events)
+		if len(w.prods) > 0 && len(msg.events) > 0 {
 			for _, sb := range batches {
-				g, ok := sb.Payload.(*engineGroup)
-				if !ok || g.quarantined {
-					continue
+				if pe, ok := sb.Payload.(*prodEntry); ok && !pe.quarantined {
+					w.feed(sb, pe.prod, faultinject.SiteProducerBatch)
 				}
-				w.feedRouted(g, sb.Events)
+			}
+			w.syncProds(msg.events[0].Ts)
+		}
+		for _, sb := range batches {
+			if g, ok := sb.Payload.(*engineGroup); ok && !g.quarantined {
+				w.feed(sb, g.eng, faultinject.SiteEngineBatch)
 				g.batchDeliv = uint64(len(sb.Events))
 				nDeliv += uint64(len(sb.Events))
 			}
-			if nDeliv > 0 {
-				w.delivered.Add(nDeliv)
-			}
-			// Credit router-level rejects to adaptive engines: an event the
-			// router withheld from a group was rejected by every one of its
-			// class filters, so the statistics collector can fold it in as a
-			// bulk reject — rates and selectivities then describe the
-			// unconditioned stream, exactly what a deliver-to-all engine
-			// would have measured (fallback subscriptions receive every
-			// event, so their gap is zero by construction).
-			if n := uint64(len(msg.events)); n > 0 {
-				for _, g := range w.groups {
-					if g.adaptive && !g.quarantined && n > g.batchDeliv {
-						w.noteRejects(g, n-g.batchDeliv)
-					}
-					g.batchDeliv = 0
+		}
+		if nDeliv > 0 {
+			w.delivered.Add(nDeliv)
+		}
+		// Credit router-level rejects to adaptive engines: an event the
+		// router withheld from a group was rejected by every one of its
+		// class filters, so the statistics collector can fold it in as a
+		// bulk reject — rates and selectivities then describe the
+		// unconditioned stream, exactly what an engine that saw every event
+		// would have measured (fallback subscriptions receive every event,
+		// so their gap is zero by construction).
+		if n := uint64(len(msg.events)); n > 0 {
+			for _, g := range w.groups {
+				if g.adaptive && !g.quarantined && n > g.batchDeliv {
+					w.noteRejects(g, n-g.batchDeliv)
 				}
-			}
-		} else {
-			if len(w.prods) > 0 && len(msg.events) > 0 {
-				for _, pe := range w.prods {
-					if pe.quarantined {
-						continue
-					}
-					w.feedProdNaive(pe, msg.events)
-				}
-				w.syncProds(msg.events[0].Ts)
-			}
-			if len(msg.events) > 0 {
-				var nDeliv uint64
-				for _, g := range w.groups {
-					if g.quarantined {
-						continue
-					}
-					w.feedNaive(g, msg.events)
-					nDeliv += uint64(len(msg.events))
-				}
-				if nDeliv > 0 {
-					w.delivered.Add(nDeliv)
-				}
+				g.batchDeliv = 0
 			}
 		}
 		// Batch release: the events now live in engine buffers; the slice

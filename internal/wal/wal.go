@@ -88,9 +88,8 @@ const maxFramePayload = 64 << 20
 type Meta struct {
 	// Version is FormatVersion at write time.
 	Version int `json:"version"`
-	// Seed is the deterministic partition-hash seed; durable runtimes use
-	// a persisted seed instead of a random per-process maphash seed so
-	// replay reproduces shard assignment exactly.
+	// Seed is the partition-hash seed, persisted so replay reproduces the
+	// original shard assignment exactly whatever seed a later build uses.
 	Seed uint64 `json:"seed"`
 	// Shards is the configured shard count.
 	Shards int `json:"shards"`

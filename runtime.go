@@ -51,37 +51,6 @@ func WithQueueDepth(n int) RuntimeOption {
 	return func(c *runtime.Config) { c.QueueLen = n }
 }
 
-// WithNaiveFanout disables the predicate-indexed multi-query router, so
-// every ingested event is delivered to every registered query's engine.
-// The router is semantics-preserving and strictly faster on parameterized
-// standing-query workloads; this knob exists for differential testing and
-// as an escape hatch.
-func WithNaiveFanout() RuntimeOption {
-	return func(c *runtime.Config) { c.NaiveFanout = true }
-}
-
-// WithRangeDispatch enables or disables the router's generation-2
-// sorted-threshold dispatch for range atoms (`attr > const` and friends;
-// default enabled). Disabled, range atoms fall back to interned residual
-// evaluation — one eval per distinct constant per event. Dispatch is
-// semantics-preserving, so WithRangeDispatch(false) exists for
-// differential testing and benchmarking the win.
-func WithRangeDispatch(enabled bool) RuntimeOption {
-	return func(c *runtime.Config) { c.NoRangeDispatch = !enabled }
-}
-
-// WithSubplanSharing enables or disables cross-query execution sharing
-// (default enabled): textually identical queries are deduplicated onto one
-// engine with match fan-out, and queries whose canonical class prefixes
-// coincide share one per-shard materialization of the prefix joins instead
-// of each buffering and assembling them privately. Sharing is semantics-
-// preserving — the match stream is byte-identical with it on or off — so
-// WithSubplanSharing(false) exists for differential testing, benchmarking
-// the win, and as an escape hatch.
-func WithSubplanSharing(enabled bool) RuntimeOption {
-	return func(c *runtime.Config) { c.NoSharing = !enabled }
-}
-
 // Runtime executes many registered queries concurrently over one
 // partitioned event stream. Events ingested into the Runtime are sharded
 // by a partition-key attribute across worker goroutines, each owning a
