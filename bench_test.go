@@ -488,15 +488,15 @@ func benchSequentialEngines(b *testing.B, qs []*query.Query, cfg core.Config, ev
 	b.ReportMetric(float64(matches), "matches")
 }
 
-func benchRuntime(b *testing.B, qs []*query.Query, shards int, cfg core.Config, events []*event.Event) {
+func benchRuntime(b *testing.B, qs []*query.Query, rcfg runtimepkg.Config, cfg core.Config, events []*event.Event) {
 	b.Helper()
 	b.ReportAllocs()
-	var matches uint64
+	var matches, rounds uint64
 	for i := 0; i < b.N; i++ {
 		// Construction and registration are setup, not the serving path
 		// being measured.
 		b.StopTimer()
-		rt := runtimepkg.New(runtimepkg.Config{Shards: shards, PartitionBy: "name", BatchSize: 4096})
+		rt := runtimepkg.New(rcfg)
 		for _, q := range qs {
 			if _, err := rt.Register(q, cfg, func(*core.Match) {}); err != nil {
 				b.Fatal(err)
@@ -511,10 +511,21 @@ func benchRuntime(b *testing.B, qs []*query.Query, shards int, cfg core.Config, 
 		if err := rt.Close(); err != nil {
 			b.Fatal(err)
 		}
-		matches = rt.Stats().Engine.Matches
+		st := rt.Stats()
+		matches, rounds = st.Engine.Matches, 0
+		for _, n := range st.RoundsByShard {
+			rounds += n
+		}
 	}
 	b.ReportMetric(float64(len(events)*b.N)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(float64(matches), "matches")
+	b.ReportMetric(float64(rounds), "rounds")
+}
+
+// wideBatches is the ingest configuration of the multi-query and scaling
+// benchmarks: few, large shard batches, so engine work dominates.
+func wideBatches(shards int) runtimepkg.Config {
+	return runtimepkg.Config{Shards: shards, PartitionBy: "name", BatchSize: 4096}
 }
 
 // BenchmarkRuntimeMultiQuery is the headline comparison: four queries
@@ -531,7 +542,7 @@ func BenchmarkRuntimeMultiQuery(b *testing.B) {
 		benchSequentialEngines(b, qs, cfg, events)
 	})
 	b.Run("runtime-4x4", func(b *testing.B) {
-		benchRuntime(b, qs, 4, cfg, events)
+		benchRuntime(b, qs, wideBatches(4), cfg, events)
 	})
 }
 
@@ -545,7 +556,43 @@ func BenchmarkRuntimeScaling(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchRuntime(b, qs, shards, cfg, events)
+			benchRuntime(b, qs, wideBatches(shards), cfg, events)
+		})
+	}
+}
+
+// BenchmarkShardIdleQueries is the scaling probe for O(touched) batch
+// rounds: n standing alerts in the alerts-1k mix (half per-symbol dip
+// alerts, half threshold alerts differing only in constants) over a stream
+// that carries 16 symbols and prices up to 100, so the same 32 alerts are
+// hot at every n and the rest are registered but idle. With the runtime's
+// default 256-event batches, events/s and the rounds metric should not move
+// with n: a shard worker visits the engines that got events or still owe a
+// match, not every registered one.
+func BenchmarkShardIdleQueries(b *testing.B) {
+	// Long enough that Close's flush of every registered engine, which is
+	// inside the timer and does grow with n, stays a small share.
+	events := runtimeBenchEvents(200000)
+	cfg := core.Config{Strategy: core.StrategyOptimal, UseHash: true, BatchSize: 256}
+	for _, n := range []int{256, 1024, 4096} {
+		qs := make([]*query.Query, 0, n)
+		for i := 0; i < n/2; i++ {
+			// S00..S15 are in the stream; S16 and up never arrive.
+			qs = append(qs, query.MustParse(fmt.Sprintf(`PATTERN A; B
+				WHERE A.name = 'S%02d' AND B.name = 'S%02d' AND B.price < A.price - 90
+				WITHIN 200 units`, i, i)))
+			// The first 16 threshold pairs sit inside the price range, the
+			// rest outside it on both classes.
+			hi, lo := 99.0+float64(i)*0.05, 1.0
+			if i >= 16 {
+				hi, lo = hi+1000, lo-1000
+			}
+			qs = append(qs, query.MustParse(fmt.Sprintf(`PATTERN A; B
+				WHERE A.name = B.name AND A.price > %.2f AND B.price <= %.2f
+				WITHIN 200 units`, hi, lo)))
+		}
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			benchRuntime(b, qs, runtimepkg.Config{Shards: 2}, cfg, events)
 		})
 	}
 }

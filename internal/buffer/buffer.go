@@ -378,9 +378,12 @@ func (b *Buf) Index() *HashIndex { return b.index }
 
 // HashIndex maps an equality attribute value to the live records carrying
 // it (§5.2.2). Removal is lazy-safe: entries are removed on eviction.
+// Emptied bucket slices park on a free list and back the next new key, so
+// a steady stream of short-lived keys allocates no buckets.
 type HashIndex struct {
-	key func(*Record) event.Value
-	m   map[event.Value][]*Record
+	key  func(*Record) event.Value
+	m    map[event.Value][]*Record
+	free [][]*Record // emptied (zero-length, cleared) bucket slices
 }
 
 // Probe returns the records whose key equals v. The returned slice is
@@ -389,7 +392,11 @@ func (ix *HashIndex) Probe(v event.Value) []*Record { return ix.m[v] }
 
 func (ix *HashIndex) add(r *Record) {
 	k := ix.key(r)
-	ix.m[k] = append(ix.m[k], r)
+	rs, ok := ix.m[k]
+	if n := len(ix.free); !ok && n > 0 {
+		rs, ix.free = ix.free[n-1], ix.free[:n-1]
+	}
+	ix.m[k] = append(rs, r)
 }
 
 func (ix *HashIndex) remove(r *Record) {
@@ -397,19 +404,28 @@ func (ix *HashIndex) remove(r *Record) {
 	rs := ix.m[k]
 	for i, x := range rs {
 		if x == r {
-			rs = append(rs[:i], rs[i+1:]...)
+			copy(rs[i:], rs[i+1:])
+			rs[len(rs)-1] = nil // drop the stale tail pointer
+			rs = rs[:len(rs)-1]
 			break
 		}
 	}
-	if len(rs) == 0 {
-		delete(ix.m, k)
-	} else {
+	if len(rs) > 0 {
 		ix.m[k] = rs
+		return
+	}
+	delete(ix.m, k)
+	if cap(rs) > 0 {
+		ix.free = append(ix.free, rs)
 	}
 }
 
 func (ix *HashIndex) clear() {
-	ix.m = make(map[event.Value][]*Record)
+	for _, rs := range ix.m {
+		clear(rs)
+		ix.free = append(ix.free, rs[:0])
+	}
+	clear(ix.m)
 }
 
 // Keys returns the number of distinct keys currently indexed.

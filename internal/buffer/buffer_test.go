@@ -267,6 +267,46 @@ func TestHashIndex(t *testing.T) {
 	}
 }
 
+// TestHashIndexReusesEmptiedBuckets pins the free list: a key whose last
+// record was evicted hands its bucket slice to the next new key, so a
+// stream of short-lived keys allocates no buckets, and a recycled bucket
+// never leaks its previous key's records into a probe.
+func TestHashIndexReusesEmptiedBuckets(t *testing.T) {
+	b := New()
+	ix := b.BuildIndex(func(r *Record) event.Value { return r.Slots[0].E.Get("name") })
+	names := []string{"A", "B", "C", "D"}
+	recs := make([]*Record, len(names))
+	for i, n := range names {
+		recs[i] = Leaf(stockAt(1, 0, n), 0, 1)
+	}
+	ts := int64(0)
+	cycle := func() {
+		for _, rec := range recs {
+			ts++
+			rec.Start, rec.End = ts, ts
+			b.Append(rec)
+			b.EvictBefore(ts) // the previous key empties as the next arrives
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, func() {
+		cycle()
+		for _, n := range names[:3] {
+			if got := ix.Probe(event.Str(n)); len(got) != 0 {
+				t.Fatalf("Probe(%s) = %d records after its eviction", n, len(got))
+			}
+		}
+		if got := ix.Probe(event.Str("D")); len(got) != 1 || got[0] != recs[3] {
+			t.Fatalf("Probe(D) = %v, want the one live record", got)
+		}
+	}); avg >= 1 {
+		t.Errorf("%.0f allocs per %d-key cycle: emptied buckets are not reused", avg, len(names))
+	}
+	if ix.Keys() != 1 {
+		t.Errorf("Keys = %d, want 1", ix.Keys())
+	}
+}
+
 func TestHashIndexPrePopulated(t *testing.T) {
 	b := New()
 	b.Append(Leaf(stockAt(1, 1, "A"), 0, 1))

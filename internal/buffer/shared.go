@@ -82,6 +82,13 @@ func (r *ShareReader) Each(fn func(*Record)) {
 	r.next = n
 }
 
+// Pending reports in O(1) whether the reader has undrained records
+// (visible or not): while it does, its position clamps the producer's
+// eviction, so its owner must drain it.
+func (r *ShareReader) Pending() bool {
+	return r.s != nil && r.next < r.s.base+uint64(r.s.buf.Len())
+}
+
 // EvictBefore removes leading records whose Start precedes eat, but never
 // past the slowest attached reader: records some reader has not drained
 // stay live regardless of eat. Evicted records recycle into the buffer's

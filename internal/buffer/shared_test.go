@@ -36,13 +36,19 @@ func TestSharedOutReadersSeeOnlyNewRecords(t *testing.T) {
 	if got := drain(r1); len(got) != 0 {
 		t.Fatalf("reader attached at end saw %d pre-existing records", len(got))
 	}
+	if r1.Pending() {
+		t.Fatal("freshly attached reader reports pending records")
+	}
 	b.Append(sharedRec(3, 3))
 	b.Append(sharedRec(4, 4))
+	if !r1.Pending() {
+		t.Fatal("reader with undrained records reports none pending")
+	}
 	if got := drain(r1); len(got) != 2 {
 		t.Fatalf("reader saw %d new records, want 2", len(got))
 	}
-	if got := drain(r1); len(got) != 0 {
-		t.Fatalf("re-drain saw %d records, want 0", len(got))
+	if got := drain(r1); len(got) != 0 || r1.Pending() {
+		t.Fatalf("re-drain saw %d records (pending=%v), want 0", len(got), r1.Pending())
 	}
 }
 

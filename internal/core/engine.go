@@ -544,22 +544,29 @@ func (e *Engine) drain() {
 	out.DropConsumedPrefix()
 }
 
+// toMatch builds a Match in three allocations however long the RETURN
+// list: the header, the Fields array and one backing array shared by the
+// single-event items (each item's slice is capped to its own element, so a
+// caller's append cannot reach its neighbour).
 func (e *Engine) toMatch(rec *buffer.Record) *Match {
-	m := &Match{Start: rec.Start, End: rec.End}
+	n := len(e.retNames)
+	m := &Match{Start: rec.Start, End: rec.End, Fields: make([]Field, n)}
+	var evs []*event.Event
 	e.renv.R = rec
 	for i, name := range e.retNames {
-		f := Field{Name: name}
-		if cls := e.retClass[i]; cls >= 0 {
-			s := rec.Slots[cls]
-			if s.E != nil {
-				f.Events = []*event.Event{s.E}
-			} else {
-				f.Events = s.Group
-			}
-		} else {
+		f := &m.Fields[i]
+		f.Name = name
+		if cls := e.retClass[i]; cls < 0 {
 			f.Value = e.retEval[i](&e.renv)
+		} else if s := rec.Slots[cls]; s.E == nil {
+			f.Events = s.Group
+		} else {
+			if evs == nil {
+				evs = make([]*event.Event, 0, n-i)
+			}
+			evs = append(evs, s.E)
+			f.Events = evs[len(evs)-1 : len(evs) : len(evs)]
 		}
-		m.Fields = append(m.Fields, f)
 	}
 	e.renv.R = nil
 	return m

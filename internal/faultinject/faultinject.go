@@ -34,7 +34,10 @@ const (
 	// shard batch (router or naive fan-out path).
 	SiteEngineBatch Site = "engine.batch"
 	// SiteEngineSync fires before an engine group's batch-boundary round
-	// (Sync/SyncAt) or final flush.
+	// (SyncAt) or final flush — for the rounds that run: a shard worker
+	// visits only the groups that got events in the batch or still owe a
+	// round (see runtime's worker), so an idle group produces no hits until
+	// its next delivery or Close.
 	SiteEngineSync Site = "engine.sync"
 	// SiteProducerBatch fires before a shared-subplan producer processes
 	// one delivered shard batch or assembles.

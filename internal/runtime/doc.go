@@ -29,6 +29,20 @@
 // single merger goroutine in non-decreasing end-time order across all
 // queries and shards; per-query callbacks never run concurrently.
 //
+// # Batch rounds
+//
+// A shard worker's batch costs O(touched), not O(registered queries): an
+// engine group gets its batch-boundary round only when it received events
+// in the batch or is due one — its match horizon is finite (unconsumed
+// final-class instances, parked reorder events, confirmations waiting on
+// time), it is adaptive (statistics are clocked per batch), or it reads a
+// shared producer that has undrained records for it. Every other group is
+// skipped: with nothing buffered to confirm, its round would only advance
+// its clock, which its next delivery does anyway (timestamps never
+// decrease), and its horizon stays +inf, so it cannot hold the merge
+// watermark. Idle clocks settle before snapshots and the final flush.
+// Stats.RoundsByShard counts the rounds run.
+//
 // # Cross-query sharing
 //
 // Registration shares execution between queries where provably safe

@@ -61,6 +61,7 @@ type shardSnap struct {
 
 // snapshot serves one snapOp on the worker goroutine.
 func (w *worker) snapshot(op *snapOp) {
+	w.settle() // idle engines' clocks (and consumers' aged-out prefix records) first
 	s := shardSnap{shard: w.id}
 	s.routerStats = w.router.Stats()
 	s.rangeEntries = w.router.RangeTableSize()
@@ -472,6 +473,10 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	p.val("zstream_matches_delivered_total", "", m.Stats.MatchesDelivered)
 	p.family("zstream_engine_deliveries_total", "(engine, event) deliveries across shards.", "counter")
 	p.val("zstream_engine_deliveries_total", "", m.Stats.EngineDeliveries)
+	p.family("zstream_shard_rounds_total", "Batch-boundary engine rounds run (groups that got events or owed a round), per shard.", "counter")
+	for i, n := range m.Stats.RoundsByShard {
+		p.val("zstream_shard_rounds_total", fmt.Sprintf(`{shard="%d"}`, i), n)
+	}
 
 	p.family("zstream_quarantined_queries", "Registered queries quarantined by a contained fault.", "gauge")
 	p.val("zstream_quarantined_queries", "", uint64(m.Stats.QuarantinedQueries))

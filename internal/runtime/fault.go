@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -172,7 +173,6 @@ func (rt *Runtime) Faults() []QueryFault {
 // reads must not be cached across this call.
 func (rt *Runtime) reapFaultsLocked(broadcast bool) {
 	for _, pq := range rt.faults.takePending() {
-		ts := rt.lastTs
 		if pq.gid == 0 {
 			// Merger-side (OnMatch) fault: the engine group is healthy —
 			// only the panicking query leaves, exactly like Unregister.
@@ -190,8 +190,7 @@ func (rt *Runtime) reapFaultsLocked(broadcast bool) {
 					}
 				}
 				if broadcast {
-					qid := id
-					rt.sendLocked(func(int) shardMsg { return shardMsg{ts: ts, unreg: qid} })
+					rt.broadcastLocked(shardMsg{ts: math.MinInt64 / 2, unreg: id})
 				}
 			}
 			continue
@@ -210,10 +209,28 @@ func (rt *Runtime) reapFaultsLocked(broadcast bool) {
 			}
 		}
 		if broadcast {
-			gid := pq.gid
-			rt.sendLocked(func(int) shardMsg { return shardMsg{ts: ts, quar: gid} })
+			rt.broadcastLocked(shardMsg{ts: math.MinInt64 / 2, quar: pq.gid})
 		}
 	}
+}
+
+// broadcastLocked sends one control message to every worker WITHOUT
+// flushing the pending event batches. A reap runs in whichever API call
+// first notices the fault, at a stream position that depends on goroutine
+// timing; cutting the shard batches there would move every later batch
+// boundary, and with it the order of equal-end-time matches, from run to
+// run. The message therefore carries no stream time either (events older
+// than lastTs may still be pending). Dropping a faulted group a batch
+// early or late on the other shards changes nothing a survivor can
+// observe. Same locking discipline as sendLocked.
+func (rt *Runtime) broadcastLocked(msg shardMsg) {
+	rt.sendMu.Lock()
+	rt.mu.Unlock()
+	for _, w := range rt.workers {
+		w.in <- msg
+	}
+	rt.sendMu.Unlock()
+	rt.mu.Lock()
 }
 
 // emitMatch runs one query's OnMatch callback under panic containment: a

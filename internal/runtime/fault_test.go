@@ -224,8 +224,9 @@ func TestDedupeGroupFaultTakesAllAliases(t *testing.T) {
 }
 
 // TestAliasOntoQuarantinedGroup arms a sync-round panic before any
-// registration: the first query's group quarantines on the gather that
-// follows its own registration op. A second, textually identical query
+// registration: the first query's group quarantines on its first round —
+// the batch that first delivers it events, since an engine that received
+// nothing owes no round. A second, textually identical query
 // then races the fault report: either the registry reaped first (the new
 // query gets a fresh healthy group) or it aliased onto the dying group and
 // the worker rejects the alias with a register.alias fault. Both outcomes
@@ -241,12 +242,13 @@ func TestAliasOntoQuarantinedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := feedSym(t, rt, "IBM", 2, 1)
 	waitFaults(t, rt, 1)
 	idB, err := rt.Register(query.MustParse(src), core.Config{}, func(*core.Match) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedSym(t, rt, "IBM", 4, 1)
+	feedSym(t, rt, "IBM", 4, ts)
 	syncAll := func() {
 		// Roundtrip via Stats + Faults (Explain may legitimately fail).
 		rt.Stats()

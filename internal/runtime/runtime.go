@@ -172,7 +172,14 @@ type Stats struct {
 	// the router only to engines with at least one admitting class, so
 	// EngineDeliveries / EventsIngested is the effective fan-out.
 	EngineDeliveries uint64
-	Engine           core.EngineStats
+	// RoundsByShard counts, per shard, the batch-boundary engine rounds the
+	// worker actually ran: one per engine group per batch in which the
+	// group got events or still owed a round (finite match horizon,
+	// adaptive statistics, undrained shared-prefix records). Idle
+	// registrations add nothing, so rounds / batches is the touched set's
+	// size, not the registered set's.
+	RoundsByShard []uint64
+	Engine        core.EngineStats
 	// WALEnabled reports whether the write-ahead log is configured AND
 	// still active (a WALDegrade error clears it); WALErrors counts WAL
 	// failures observed, WALSuppressed the replayed matches withheld at or
@@ -933,6 +940,7 @@ func (rt *Runtime) Stats() Stats {
 		QuarantinedQueries:    nQuar,
 		Faults:                rt.faults.total.Load(),
 		ShedByShard:           make([]uint64, rt.cfg.Shards),
+		RoundsByShard:         make([]uint64, rt.cfg.Shards),
 		EventsIngested:        rt.ingested.Load(),
 		MatchesDelivered:      rt.delivered.Load(),
 		EngineDeliveries:      rt.engineDeliv.Load(),
@@ -942,6 +950,7 @@ func (rt *Runtime) Stats() Stats {
 		n := rt.shed[i].Load()
 		st.ShedByShard[i] = n
 		st.EventsShed += n
+		st.RoundsByShard[i] = rt.workers[i].rounds.Load()
 	}
 	for _, e := range engines {
 		s := e.Snapshot()

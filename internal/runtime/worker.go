@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -59,28 +60,13 @@ type regOp struct {
 	prodInfo *query.Info
 }
 
-// matchSink collects one engine's emitted matches between batch
-// boundaries. It is written synchronously by the engine's emit callback
-// inside the worker goroutine, so it needs no locking. take/recycle
-// alternate between two slices so steady-state collection reuses the same
-// backing arrays instead of allocating per batch.
-type matchSink struct{ buf, spare []*core.Match }
+// matchSink collects one engine's emitted matches until the worker's visit
+// copies them out (collect, which truncates rather than releases the slice).
+// The engine's emit callback writes it synchronously inside the worker
+// goroutine, so it needs no locking.
+type matchSink struct{ buf []*core.Match }
 
 func (s *matchSink) add(m *core.Match) { s.buf = append(s.buf, m) }
-
-func (s *matchSink) take() []*core.Match {
-	out := s.buf
-	s.buf = s.spare
-	s.spare = nil
-	return out
-}
-
-// recycle returns a slice obtained from take once its matches have been
-// copied out.
-func (s *matchSink) recycle(b []*core.Match) {
-	clear(b)
-	s.spare = b[:0]
-}
 
 // pendingMatch is one match waiting in the merger for its watermark.
 type pendingMatch struct {
@@ -115,28 +101,26 @@ type mergeMsg struct {
 // engineGroup is one physical engine on this shard together with the
 // queries aliased onto it. Without whole-query dedupe every group has
 // exactly one slot; with it, textually identical queries share the group
-// and each gets the group's matches fanned out at gather time.
+// and each gets the group's matches fanned out at collect time.
 type engineGroup struct {
 	gid    int64
 	eng    *core.Engine
 	sink   *matchSink
-	slots  int
+	slots  []*querySlot        // aliases, in registration order
 	reader *buffer.ShareReader // shared-prefix consumer's producer cursor
 	prodID int64               // producer the reader belongs to (0 = none)
 
-	// adaptive caches eng.IsAdaptive(); batchDeliv counts this group's
-	// deliveries within the current routed batch, so the gap to the batch
-	// size (= router-rejected events) can be credited to the engine's
-	// statistics collector after the batch.
-	adaptive   bool
-	batchDeliv uint64
-
-	// gather-round scratch: taken holds the engine's matches for the
-	// current round, emitted marks that the first slot already delivered
-	// the originals (later slots clone).
-	round   uint64
-	taken   []*core.Match
-	emitted bool
+	// adaptive caches eng.IsAdaptive(): the statistics collector buckets
+	// router-reject credit by batch time, so an adaptive group is due in
+	// every batch rather than settled lazily.
+	adaptive bool
+	// due marks membership of worker.due (see there). horizon caches the
+	// engine's MatchHorizon as of its last visit — exact until the next
+	// one, since nothing else mutates the engine — and visited is the
+	// worker.batch of that visit, so no group is visited twice per batch.
+	due     bool
+	horizon int64
+	visited uint64
 
 	// quarantined marks a group dropped by a contained panic: every
 	// dispatch path skips it until the batch-boundary sweep removes its
@@ -144,13 +128,14 @@ type engineGroup struct {
 	quarantined bool
 }
 
-// querySlot is one registered query, in registration order. Slot order
-// defines the deterministic per-batch match interleaving, exactly as the
-// per-query engine list did before dedupe existed.
+// querySlot is one registered query. ord is its index in worker.slots
+// (registration order), the key of the deterministic per-batch match
+// interleaving.
 type querySlot struct {
 	id   QueryID
 	emit func(*core.Match)
 	g    *engineGroup
+	ord  uint32
 }
 
 // prodEntry is one live shared-subplan producer on this shard, with the
@@ -167,16 +152,25 @@ type prodEntry struct {
 }
 
 // worker owns one stream partition: a private physical engine per engine
-// group, fed in shard-local order, synced at every batch boundary, plus
-// the shard's shared-subplan producers. Each event batch is classified
-// once by the shard's router; producers are fed and assembled before any
-// consuming engine touches the batch, so consumers always observe a
-// producer at or ahead of their own stream position.
+// group, fed in shard-local order, plus the shard's shared-subplan
+// producers. Each event batch is classified once by the shard's router;
+// producers are fed and assembled before any consuming engine touches the
+// batch, so consumers always observe a producer at or ahead of their own
+// stream position.
+//
+// A batch costs O(touched), not O(registered): only groups that got events
+// or are due get their boundary round (visit). Skipping the rest is sound
+// because an engine outside both sets has an empty idle batch, no pending
+// confirmation and no undrained producer records — its SyncAt would only
+// move its clock, which the next delivery (whose timestamp is at least
+// every shard time so far) or settle does anyway — and its MatchHorizon
+// stays MaxInt64 until that delivery, so it cannot hold the watermark.
 type worker struct {
 	id        int
 	in        chan shardMsg
 	router    *router.Router
 	delivered *atomic.Uint64 // runtime-wide (engine, event) delivery counter
+	rounds    atomic.Uint64  // batch-boundary engine rounds run (visits)
 	faults    *faultSink
 	inj       *faultinject.Injector // nil in production
 	// crashing, when set, tells the worker its input channel was closed by
@@ -190,7 +184,24 @@ type worker struct {
 	byGID    map[int64]*engineGroup
 	prods    []*prodEntry
 	byProdID map[int64]*prodEntry
-	round    uint64
+
+	// due lists the groups the next batch must visit even without events:
+	// those whose horizon is finite (unconsumed final-class instances,
+	// pending reorder events, time-driven confirmations), adaptive groups,
+	// and — for the current batch — consumers with undrained producer
+	// records. Entries whose due flag has dropped are compacted away by the
+	// batch's due pass.
+	due []*engineGroup
+
+	// Per-message scratch: batch numbers the message (visited stamps), out
+	// gathers its matches, wm folds its watermark, nDeliv and nRounds count
+	// its deliveries and visits, site attributes a contained panic.
+	batch           uint64
+	out             []pendingMatch
+	wm              int64
+	nDeliv, nRounds uint64
+	site            faultinject.Site
+	emitSeq         uint64
 
 	// shardTime is the largest timestamp of an event THIS shard received —
 	// the clock an engine that sees every shard event has. Engines are
@@ -204,44 +215,20 @@ type worker struct {
 	quarDirty bool
 }
 
-// syncProds runs one producer assembly round ahead of the consumers:
-// horizon is each producer's consumers' minimum MatchHorizon BEFORE the
-// batch, batchMinTs the batch's first (smallest) timestamp; together they
-// lower-bound every EAT a consumer round may use while processing the
-// batch (see core.Subplan.Assemble).
-func (w *worker) syncProds(batchMinTs int64) {
-	for _, pe := range w.prods {
-		if pe.quarantined {
-			continue
-		}
-		w.assembleProd(pe, batchMinTs, false)
-	}
-}
-
-// flushProds final-assembles every producer so consumer flushes observe
-// all remaining partial matches.
-func (w *worker) flushProds() {
-	for _, pe := range w.prods {
-		if pe.quarantined {
-			continue
-		}
-		w.assembleProd(pe, 0, true)
-	}
-}
-
 // contain is the deferred recovery arm of every dispatch into query-owned
 // code: a panic inside an engine or producer (or an injected fault)
 // quarantines the owning unit instead of killing the worker — and with it
-// every other query on the shard. A faulted shared-prefix producer takes
+// every other query on the shard — and is attributed to the site the
+// dispatch last entered (w.site). A faulted shared-prefix producer takes
 // every consumer group attached to it along (their shared prefix state is
 // unrecoverable).
-func (w *worker) contain(unit any, site faultinject.Site) {
+func (w *worker) contain(unit any) {
 	if r := recover(); r != nil {
 		switch u := unit.(type) {
 		case *engineGroup:
-			w.quarantineGroup(u, string(site), r, debug.Stack())
+			w.quarantineGroup(u, string(w.site), r, debug.Stack())
 		case *prodEntry:
-			w.quarantineProd(u, string(site), r, debug.Stack())
+			w.quarantineProd(u, string(w.site), r, debug.Stack())
 		}
 	}
 }
@@ -258,11 +245,9 @@ func (w *worker) quarantineGroup(g *engineGroup, site string, rec any, stack []b
 	}
 	g.quarantined = true
 	w.quarDirty = true
-	var ids []QueryID
-	for _, s := range w.slots {
-		if s.g == g {
-			ids = append(ids, s.id)
-		}
+	ids := make([]QueryID, len(g.slots))
+	for i, s := range g.slots {
+		ids[i] = s.id
 	}
 	w.faults.report(g.gid, ids, QueryFault{
 		GroupID:  g.gid,
@@ -285,72 +270,185 @@ func (w *worker) quarantineProd(pe *prodEntry, site string, rec any, stack []byt
 	}
 }
 
-// admitter is the feed target of a routed sub-batch: an engine or a
-// shared-prefix producer.
-type admitter interface {
-	ProcessAdmitted(ev *event.Event, classes uint64)
-}
-
-// feed delivers one routed sub-batch to its subscriber's engine or
-// producer under panic containment (the payload is the owning group or
-// producer entry). MaskAll deliveries fall back to full filter evaluation
-// inside ProcessAdmitted. The ingest side pre-stamped a globally monotone
-// Seq, so every target adopts it and shares the event unmutated — no
-// per-engine copy on the hot path.
-func (w *worker) feed(sb router.SubBatch, to admitter, site faultinject.Site) {
-	defer w.contain(sb.Payload, site)
-	w.inj.Hit(site, w.id, sb.ID)
-	for _, d := range sb.Events {
-		to.ProcessAdmitted(d.Ev, d.Mask)
+// markDue adds g to the set the current (or next) batch must visit.
+func (w *worker) markDue(g *engineGroup) {
+	if !g.due {
+		g.due = true
+		w.due = append(w.due, g)
 	}
 }
 
-// assembleProd runs one producer assembly (or final flush) round under
-// panic containment. Quarantined members no longer bound the horizon:
-// their positions must not pin producer memory.
-func (w *worker) assembleProd(pe *prodEntry, batchMinTs int64, flush bool) {
-	defer w.contain(pe, faultinject.SiteProducerBatch)
-	horizon := int64(math.MaxInt64)
+// prodHorizon is the minimum cached MatchHorizon over a producer's live
+// consumers; a quarantined member's position must not pin producer memory.
+func prodHorizon(pe *prodEntry) int64 {
+	h := int64(math.MaxInt64)
 	for _, g := range pe.members {
-		if g.quarantined {
-			continue
-		}
-		if h := g.eng.MatchHorizon(); h < horizon {
-			horizon = h
+		if !g.quarantined && g.horizon < h {
+			h = g.horizon
 		}
 	}
-	if flush {
-		pe.prod.Flush(horizon)
-	} else {
-		pe.prod.Assemble(horizon, batchMinTs)
+	return h
+}
+
+// runProd feeds one producer its routed sub-batch and assembles it, under
+// one panic containment, before any consumer touches the batch: its
+// consumers' minimum MatchHorizon BEFORE the batch and batchMinTs, the
+// batch's first (smallest) timestamp, together lower-bound every EAT a
+// consumer round may use while processing the batch (see
+// core.Subplan.Assemble). Consumers left with undrained records become
+// due, so they drain this batch and never pin the producer. MaskAll
+// deliveries fall back to full filter evaluation inside ProcessAdmitted;
+// events carry the ingest side's monotone Seq and are shared unmutated.
+func (w *worker) runProd(pe *prodEntry, sb router.SubBatch, batchMinTs int64) {
+	defer w.contain(pe)
+	w.site = faultinject.SiteProducerBatch
+	w.inj.Hit(faultinject.SiteProducerBatch, w.id, sb.ID)
+	for _, d := range sb.Events {
+		pe.prod.ProcessAdmitted(d.Ev, d.Mask)
+	}
+	pe.prod.Assemble(prodHorizon(pe), batchMinTs)
+	for _, g := range pe.members {
+		if !g.quarantined && g.reader.Pending() {
+			w.markDue(g)
+		}
 	}
 }
 
-// syncGroup runs one batch-boundary round (or final flush) under panic
-// containment.
-func (w *worker) syncGroup(g *engineGroup, flush bool) {
-	defer w.contain(g, faultinject.SiteEngineSync)
-	w.inj.Hit(faultinject.SiteEngineSync, w.id, g.gid)
-	if flush {
-		g.eng.Flush()
+// flushProd final-assembles a producer so consumer flushes observe all
+// remaining partial matches.
+func (w *worker) flushProd(pe *prodEntry) {
+	if pe.quarantined {
 		return
 	}
-	// Engines see only admitted events; SyncAt advances their clock to the
-	// shard time and still runs a round when pending confirmations lag
-	// behind it.
+	defer w.contain(pe)
+	w.site = faultinject.SiteProducerBatch
+	pe.prod.Flush(prodHorizon(pe))
+}
+
+// visit is one touched group's whole batch in a single cache-hot pass
+// under one panic containment: feed its routed deliveries evs (of the
+// batch's n events), credit the rest to an adaptive engine as router
+// rejects — an event the router withheld was rejected by every class
+// filter, so rates and selectivities describe the unconditioned stream a
+// deliver-to-all engine measures — run the boundary round at shard time
+// (SyncAt advances the clock past the withheld events and still runs a
+// round when pending confirmations lag behind it), collect the emitted
+// matches, and fold the new horizon into the watermark and the due set.
+func (w *worker) visit(g *engineGroup, evs []router.Delivery, n int) {
+	if g.quarantined || g.visited == w.batch {
+		return
+	}
+	g.visited = w.batch
+	defer w.contain(g)
+	w.site = faultinject.SiteEngineBatch
+	if len(evs) > 0 {
+		w.inj.Hit(faultinject.SiteEngineBatch, w.id, g.gid)
+		for _, d := range evs {
+			g.eng.ProcessAdmitted(d.Ev, d.Mask)
+		}
+		w.nDeliv += uint64(len(evs))
+	}
+	if g.adaptive && n > len(evs) {
+		g.eng.NoteRouterRejects(uint64(n-len(evs)), w.shardTime)
+	}
+	w.site = faultinject.SiteEngineSync
+	w.inj.Hit(faultinject.SiteEngineSync, w.id, g.gid)
+	g.eng.SyncAt(w.shardTime)
+	w.nRounds++
+	w.collect(g)
+	g.horizon = g.eng.MatchHorizon()
+	if g.horizon < w.wm {
+		w.wm = g.horizon
+	}
+	if g.adaptive || g.horizon != math.MaxInt64 {
+		w.markDue(g)
+	} else {
+		g.due = false
+	}
+}
+
+// flushGroup runs a group's final flush under panic containment.
+func (w *worker) flushGroup(g *engineGroup) {
+	if g.quarantined {
+		return
+	}
+	defer w.contain(g)
+	w.site = faultinject.SiteEngineSync
+	w.inj.Hit(faultinject.SiteEngineSync, w.id, g.gid)
+	g.eng.Flush()
+	w.collect(g)
+}
+
+// collect moves a group's emitted matches into the message's batch. The
+// first slot of a group delivers the engine's matches as is; further slots
+// (dedupe aliases) get private shallow clones, preserving the exact
+// per-slot emission a private twin engine would have produced. seq carries
+// the sort key (slot ordinal, index) until gathered stamps it.
+func (w *worker) collect(g *engineGroup) {
+	ms := g.sink.buf
+	for si, s := range g.slots {
+		key := uint64(s.ord) << 32
+		for i, m := range ms {
+			if si > 0 {
+				m = cloneMatch(m)
+			}
+			w.out = append(w.out, pendingMatch{end: m.End, shard: w.id, seq: key | uint64(i), m: m, emit: s.emit, id: s.id})
+		}
+	}
+	clear(ms)
+	g.sink.buf = ms[:0]
+}
+
+// gathered returns the message's matches in the shard's emission order:
+// each engine emits in end-time order, and end-time ties break by slot
+// registration order, then engine emission order — the order a walk over
+// every slot would produce, at O(touched) cost. seq is stamped after the
+// sort, so it is monotone across batches for the merger's tie-break.
+func (w *worker) gathered() []pendingMatch {
+	batch := w.out
+	w.out = nil
+	slices.SortFunc(batch, func(a, b pendingMatch) int {
+		if a.end != b.end {
+			return cmp.Compare(a.end, b.end)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for i := range batch {
+		w.emitSeq++
+		batch[i].seq = w.emitSeq
+	}
+	return batch
+}
+
+// settle advances the clock of every group the batches skipped, so a
+// snapshot or the final flush sees each engine where a round at every
+// boundary would have left it. By the skipping invariant these SyncAts
+// emit nothing and leave the horizon at MaxInt64: they are not rounds.
+func (w *worker) settle() {
+	for _, g := range w.groups {
+		if !g.quarantined && g.eng.Now() < w.shardTime {
+			w.syncIdle(g)
+		}
+	}
+}
+
+func (w *worker) syncIdle(g *engineGroup) {
+	defer w.contain(g)
+	w.site = faultinject.SiteEngineSync
 	g.eng.SyncAt(w.shardTime)
 }
 
-// noteRejects credits router-level rejects to an adaptive engine's
-// statistics collector under panic containment.
-func (w *worker) noteRejects(g *engineGroup, n uint64) {
-	defer w.contain(g, faultinject.SiteEngineBatch)
-	g.eng.NoteRouterRejects(n, w.shardTime)
+// dropSlots removes the slots drop selects and renumbers the rest.
+func (w *worker) dropSlots(drop func(*querySlot) bool) {
+	w.slots = slices.DeleteFunc(w.slots, drop)
+	for i, s := range w.slots {
+		s.ord = uint32(i)
+	}
 }
 
 // sweepQuarantined structurally removes every group and producer flagged
-// since the last sweep. It runs at the batch boundary (after gather), so
-// no flagged state is removed mid-iteration. A quarantined consumer's
+// since the last sweep. It runs at the batch boundary (after every visit),
+// so no flagged state is removed mid-iteration. A quarantined consumer's
 // reader is detached from its producer here, so the shared buffer stops
 // clamping eviction on a dead reader's position — a failed consumer never
 // pins producer memory.
@@ -359,30 +457,16 @@ func (w *worker) sweepQuarantined() {
 		return
 	}
 	w.quarDirty = false
-	for i := 0; i < len(w.slots); {
-		if w.slots[i].g.quarantined {
-			w.slots = append(w.slots[:i], w.slots[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	var qg []*engineGroup
-	for _, g := range w.groups {
+	w.dropSlots(func(s *querySlot) bool { return s.g.quarantined })
+	for _, g := range slices.Clone(w.groups) {
 		if g.quarantined {
-			qg = append(qg, g)
+			w.dropGroup(g)
 		}
 	}
-	for _, g := range qg {
-		w.dropGroup(g)
-	}
-	var qp []*prodEntry
-	for _, pe := range w.prods {
+	for _, pe := range slices.Clone(w.prods) {
 		if pe.quarantined {
-			qp = append(qp, pe)
+			w.dropProd(pe)
 		}
-	}
-	for _, pe := range qp {
-		w.dropProd(pe)
 	}
 }
 
@@ -396,9 +480,12 @@ func (w *worker) register(op *regOp) {
 	}
 	var g *engineGroup
 	if op.eng != nil {
-		g = &engineGroup{gid: op.gid, eng: op.eng, sink: op.sink, adaptive: op.eng.IsAdaptive()}
+		g = &engineGroup{gid: op.gid, eng: op.eng, sink: op.sink, adaptive: op.eng.IsAdaptive(), horizon: math.MaxInt64}
 		w.groups = append(w.groups, g)
 		w.byGID[op.gid] = g
+		if g.adaptive {
+			w.markDue(g)
+		}
 		if op.prodID != 0 {
 			pe := w.byProdID[op.prodID]
 			g.reader = pe.prod.Attach(op.seq)
@@ -423,29 +510,25 @@ func (w *worker) register(op *regOp) {
 			return
 		}
 	}
-	g.slots++
-	w.slots = append(w.slots, &querySlot{id: op.id, emit: op.emit, g: g})
+	s := &querySlot{id: op.id, emit: op.emit, g: g, ord: uint32(len(w.slots))}
+	g.slots = append(g.slots, s)
+	w.slots = append(w.slots, s)
 }
 
 // unregister removes a query slot; the group (and any producer it alone
 // kept alive) goes with it when the last slot leaves.
 func (w *worker) unregister(id QueryID) {
-	var g *engineGroup
-	for i, s := range w.slots {
-		if s.id == id {
-			g = s.g
-			w.slots = append(w.slots[:i], w.slots[i+1:]...)
-			break
-		}
-	}
-	if g == nil {
+	i := slices.IndexFunc(w.slots, func(s *querySlot) bool { return s.id == id })
+	if i < 0 {
 		return
 	}
-	g.slots--
-	if g.slots > 0 {
-		return
+	s := w.slots[i]
+	w.dropSlots(func(x *querySlot) bool { return x == s })
+	g := s.g
+	g.slots = slices.DeleteFunc(g.slots, func(x *querySlot) bool { return x == s })
+	if len(g.slots) == 0 {
+		w.dropGroup(g)
 	}
-	w.dropGroup(g)
 }
 
 // dropGroup removes a group's shard-local state: list/index entries, its
@@ -453,12 +536,8 @@ func (w *worker) unregister(id QueryID) {
 // reader, dropping the producer when the last reader detaches. Shared by
 // unregister and the quarantine sweep.
 func (w *worker) dropGroup(g *engineGroup) {
-	for i, x := range w.groups {
-		if x == g {
-			w.groups = append(w.groups[:i], w.groups[i+1:]...)
-			break
-		}
-	}
+	w.groups = slices.DeleteFunc(w.groups, func(x *engineGroup) bool { return x == g })
+	g.due = false // the next due pass compacts the entry away
 	delete(w.byGID, g.gid)
 	w.router.Remove(g.gid)
 	if g.reader == nil {
@@ -468,12 +547,7 @@ func (w *worker) dropGroup(g *engineGroup) {
 	if pe == nil {
 		return
 	}
-	for i, x := range pe.members {
-		if x == g {
-			pe.members = append(pe.members[:i], pe.members[i+1:]...)
-			break
-		}
-	}
+	pe.members = slices.DeleteFunc(pe.members, func(x *engineGroup) bool { return x == g })
 	// A quarantined producer's internals are suspect: skip Detach and let
 	// the sweep drop the producer wholesale.
 	if pe.quarantined {
@@ -494,12 +568,7 @@ func (w *worker) dropProd(pe *prodEntry) {
 	if _, ok := w.byProdID[pe.id]; !ok {
 		return
 	}
-	for i, x := range w.prods {
-		if x == pe {
-			w.prods = append(w.prods[:i], w.prods[i+1:]...)
-			break
-		}
-	}
+	w.prods = slices.DeleteFunc(w.prods, func(x *prodEntry) bool { return x == pe })
 	delete(w.byProdID, pe.id)
 	w.router.Remove(pe.id)
 }
@@ -507,79 +576,26 @@ func (w *worker) dropProd(pe *prodEntry) {
 func (w *worker) run(out chan<- mergeMsg) {
 	streamTime := int64(math.MinInt64 / 2)
 	w.shardTime = math.MinInt64 / 2
-	var emitSeq uint64
-
-	gather := func(flush bool) []pendingMatch {
-		w.round++
-		batch := getMatchBatch()
-		for _, s := range w.slots {
-			g := s.g
-			if g.quarantined {
-				continue
-			}
-			if g.round != w.round {
-				g.round = w.round
-				w.syncGroup(g, flush)
-				if g.quarantined {
-					// The round panicked: the sink's matches are suspect
-					// and die with the group at the sweep.
-					continue
-				}
-				g.taken = g.sink.take()
-				g.emitted = false
-			}
-			if len(g.taken) == 0 {
-				continue
-			}
-			// The first slot of a group delivers the engine's matches as
-			// is; further slots (dedupe aliases) get private shallow
-			// clones, preserving the exact per-slot emission a private
-			// twin engine would have produced.
-			clone := g.emitted
-			g.emitted = true
-			for _, m := range g.taken {
-				mm := m
-				if clone {
-					mm = cloneMatch(m)
-				}
-				emitSeq++
-				batch = append(batch, pendingMatch{end: mm.End, shard: w.id, seq: emitSeq, m: mm, emit: s.emit, id: s.id})
-			}
-		}
-		for _, g := range w.groups {
-			if g.round == w.round && g.taken != nil {
-				g.sink.recycle(g.taken)
-				g.taken = nil
-			}
-		}
-		// Each engine emits in end-time order; interleave the per-slot
-		// runs into one sorted batch. seq (assigned in slot order above)
-		// breaks end-time ties, so the order is deterministic.
-		slices.SortFunc(batch, func(a, b pendingMatch) int {
-			if a.end != b.end {
-				if a.end < b.end {
-					return -1
-				}
-				return 1
-			}
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		})
-		return batch
-	}
 
 	for msg := range w.in {
 		if msg.ts > streamTime {
 			streamTime = msg.ts
 		}
-		if n := len(msg.events); n > 0 {
+		n := len(msg.events)
+		if n > 0 {
 			// ingest order: the batch's last event carries its max ts
 			if ts := msg.events[n-1].Ts; ts > w.shardTime {
 				w.shardTime = ts
 			}
 		}
+		// The shard watermark: no match this shard later produces can end
+		// before it. Future matches complete either on a buffered unconsumed
+		// final-class instance — only due groups have one, and every visit
+		// folds its engine's MatchHorizon in — or on a future event, whose
+		// timestamp is at least the flushed stream time.
+		w.batch++
+		w.out = getMatchBatch()
+		w.wm = streamTime
 		switch {
 		case msg.reg != nil:
 			w.register(msg.reg)
@@ -601,62 +617,40 @@ func (w *worker) run(out chan<- mergeMsg) {
 		// whose classes all reject an event are never touched. Producers
 		// drain their deliveries and assemble first, so consumer rounds see
 		// an up-to-date shared prefix.
-		var nDeliv uint64
 		batches := w.router.Route(msg.events)
-		if len(w.prods) > 0 && len(msg.events) > 0 {
+		if len(w.prods) > 0 {
 			for _, sb := range batches {
 				if pe, ok := sb.Payload.(*prodEntry); ok && !pe.quarantined {
-					w.feed(sb, pe.prod, faultinject.SiteProducerBatch)
+					w.runProd(pe, sb, msg.events[0].Ts)
 				}
 			}
-			w.syncProds(msg.events[0].Ts)
 		}
 		for _, sb := range batches {
-			if g, ok := sb.Payload.(*engineGroup); ok && !g.quarantined {
-				w.feed(sb, g.eng, faultinject.SiteEngineBatch)
-				g.batchDeliv = uint64(len(sb.Events))
-				nDeliv += uint64(len(sb.Events))
+			if g, ok := sb.Payload.(*engineGroup); ok {
+				w.visit(g, sb.Events, n)
 			}
 		}
-		if nDeliv > 0 {
-			w.delivered.Add(nDeliv)
-		}
-		// Credit router-level rejects to adaptive engines: an event the
-		// router withheld from a group was rejected by every one of its
-		// class filters, so the statistics collector can fold it in as a
-		// bulk reject — rates and selectivities then describe the
-		// unconditioned stream, exactly what an engine that saw every event
-		// would have measured (fallback subscriptions receive every event,
-		// so their gap is zero by construction).
-		if n := uint64(len(msg.events)); n > 0 {
-			for _, g := range w.groups {
-				if g.adaptive && !g.quarantined && n > g.batchDeliv {
-					w.noteRejects(g, n-g.batchDeliv)
-				}
-				g.batchDeliv = 0
+		// The due pass: groups owing a round regardless of deliveries. Its
+		// visits never grow the list, so it compacts in place.
+		keep := w.due[:0]
+		for _, g := range w.due {
+			if !g.due {
+				continue // unregistered, or settled by its routed visit
+			}
+			w.visit(g, nil, n)
+			if g.due && !g.quarantined {
+				keep = append(keep, g)
 			}
 		}
-		// Batch release: the events now live in engine buffers; the slice
-		// that carried them returns to the shared pool.
+		clear(w.due[len(keep):])
+		w.due = keep
+		w.delivered.Add(w.nDeliv)
+		w.rounds.Add(w.nRounds)
+		w.nDeliv, w.nRounds = 0, 0
+		// The events now live in engine buffers: release the carrier slice.
 		event.PutBatch(msg.events)
-		batch := gather(false)
-		// Sweep before the watermark probe: it runs MatchHorizon on every
-		// remaining group, and a just-quarantined engine's buffers are not
-		// safe to read.
 		w.sweepQuarantined()
-
-		// The shard watermark: no match this shard later produces can end
-		// before it. Future matches either complete on an already buffered
-		// unconsumed final-class instance (engine MatchHorizon) or on a
-		// future event, whose timestamp is at least the flushed stream
-		// time (ingest order is globally non-decreasing).
-		wm := streamTime
-		for _, g := range w.groups {
-			if h := g.eng.MatchHorizon(); h < wm {
-				wm = h
-			}
-		}
-		out <- mergeMsg{shard: w.id, matches: batch, watermark: wm, final: false}
+		out <- mergeMsg{shard: w.id, matches: w.gathered(), watermark: w.wm, final: false}
 	}
 
 	// Simulated crash: no final flush — a real crash cannot confirm the
@@ -670,11 +664,17 @@ func (w *worker) run(out chan<- mergeMsg) {
 
 	// Close: final flush confirms trailing negations and closures; after
 	// it no shard match is outstanding, so the watermark jumps to +inf.
-	// Producers flush first so consumer flushes observe every partial
-	// match.
-	w.flushProds()
-	batch := gather(true)
-	out <- mergeMsg{shard: w.id, matches: batch, watermark: math.MaxInt64, final: true}
+	// Idle engines settle first; producers flush before consumers so
+	// consumer flushes observe every partial match.
+	w.out = getMatchBatch()
+	w.settle()
+	for _, pe := range w.prods {
+		w.flushProd(pe)
+	}
+	for _, g := range w.groups {
+		w.flushGroup(g)
+	}
+	out <- mergeMsg{shard: w.id, matches: w.gathered(), watermark: math.MaxInt64, final: true}
 }
 
 // cloneMatch gives a dedupe alias a private Match header and Fields slice.
