@@ -373,7 +373,7 @@ func runServe(texts []string, in io.Reader, shards int, partBy string, quiet, ad
 		counts = append(counts, fmt.Sprintf("q%d=%d", i, c))
 	}
 	wal := ""
-	if st.WALEnabled || st.WALErrors > 0 {
+	if st.WALEnabled {
 		wal = fmt.Sprintf(" wal-events=%d wal-fsyncs=%d wal-errors=%d",
 			st.WAL.AppendedEvents, st.WAL.Fsyncs, st.WALErrors)
 	}

@@ -25,23 +25,12 @@ const (
 	FsyncOff = wal.FsyncOff
 )
 
-// WALErrorPolicy selects how the runtime reacts to a write-ahead-log
-// failure; see WALFailStop and WALDegrade.
-type WALErrorPolicy = runtime.WALErrorPolicy
-
-const (
-	// WALFailStop (the default) sheds the failing ingest flush and
-	// surfaces a WALError from Ingest: no event reaches the engines unless
-	// it is durable first, preserving exactly-once recovery.
-	WALFailStop = runtime.WALFailStop
-	// WALDegrade records the fault, disables the log, and keeps serving
-	// memory-only: availability over durability.
-	WALDegrade = runtime.WALDegrade
-)
-
 // WALError is the typed error returned for write-ahead-log failures: the
 // failed operation, the segment path, whether it was fault-injected, and
-// the underlying cause (unwrappable with errors.As / errors.Is).
+// the underlying cause (unwrappable with errors.As / errors.Is). Every
+// WAL failure is fail-stop: the failing ingest flush is shed and the
+// error is sticky, so no event reaches the engines unless it is durable
+// first, preserving exactly-once recovery.
 type WALError = wal.Error
 
 // WALFault is one recorded write-ahead-log failure, inspectable via
@@ -80,11 +69,6 @@ func WithCheckpointEvery(n int) DurabilityOption {
 // Smaller segments give retention pruning finer granularity.
 func WithSegmentBytes(n int64) DurabilityOption {
 	return func(d *runtime.DurConfig) { d.SegmentBytes = n }
-}
-
-// WithWALErrorPolicy selects the log-failure policy (default WALFailStop).
-func WithWALErrorPolicy(p WALErrorPolicy) DurabilityOption {
-	return func(d *runtime.DurConfig) { d.OnWALError = p }
 }
 
 // WithRecoverHandler installs the callback factory recovery consults for

@@ -375,6 +375,14 @@ type Totals struct {
 	Evicted uint64
 }
 
+// Add folds o's counters into t.
+func (t *Totals) Add(o Totals) {
+	t.In += o.In
+	t.Out += o.Out
+	t.Buffered += o.Buffered
+	t.Evicted += o.Evicted
+}
+
 // TreeTotals rolls up an operator tree's counters without materializing
 // explain nodes. Like Tree, it must run on the owning goroutine. Leaf
 // buffers referenced by negation operators are not walked (they are

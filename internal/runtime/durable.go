@@ -14,35 +14,12 @@ import (
 	"repro/internal/wal"
 )
 
-// WALErrorPolicy selects how the runtime reacts to a write-ahead-log
-// failure (disk full, I/O error, injected crash).
-type WALErrorPolicy int
-
-const (
-	// WALFailStop (the default) surfaces the error to the failing call and
-	// sheds the affected flush: events that were never durable are never
-	// processed, so the log stays a superset of what the engines saw. The
-	// writer error is sticky — every later Ingest fails too.
-	WALFailStop WALErrorPolicy = iota
-	// WALDegrade records the fault and continues memory-only: the WAL is
-	// disabled, ingestion proceeds, and durability is lost from the first
-	// error onward (Stats.WALEnabled turns false).
-	WALDegrade
-)
-
-// String implements fmt.Stringer.
-func (p WALErrorPolicy) String() string {
-	switch p {
-	case WALFailStop:
-		return "fail-stop"
-	case WALDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("walpolicy(%d)", int(p))
-	}
-}
-
-// DurConfig configures the durability plane (Config.Durability).
+// DurConfig configures the durability plane (Config.Durability). Every
+// write-ahead-log failure (disk full, I/O error, injected crash) is
+// fail-stop: it surfaces to the failing call and sheds the affected flush,
+// so events that were never durable are never processed and the log stays
+// a superset of what the engines saw. The writer error is sticky — every
+// later Ingest fails too.
 type DurConfig struct {
 	// Dir is the write-ahead-log directory. Required.
 	Dir string
@@ -57,8 +34,6 @@ type DurConfig struct {
 	// events (at flush boundaries; default 4096). Registrations and
 	// unregistrations always checkpoint immediately.
 	CheckpointEvery int
-	// OnWALError picks the failure policy (default WALFailStop).
-	OnWALError WALErrorPolicy
 	// RecoverEmit, consulted during recovery, returns the OnMatch callback
 	// to attach to a checkpointed query, given its original id and
 	// normalized text. nil (or a nil return) recovers the query without a
@@ -90,8 +65,8 @@ type WALFault struct {
 	Simulated bool
 }
 
-// maxWALFaults bounds the fault record list: under fail-stop every later
-// Ingest re-observes the sticky writer error, and an ignoring caller must
+// maxWALFaults bounds the fault record list: every later Ingest
+// re-observes the sticky writer error, and an ignoring caller must
 // not grow the list without bound.
 const maxWALFaults = 64
 
@@ -181,7 +156,6 @@ func NewDurable(cfg Config) (*Runtime, *RecoverInfo, error) {
 		return nil, nil, err
 	}
 	rt.wal = w
-	rt.walActive.Store(true)
 	rt.walTruncated = res.TruncatedBytes
 
 	info := &RecoverInfo{
@@ -192,10 +166,9 @@ func NewDurable(cfg Config) (*Runtime, *RecoverInfo, error) {
 		LastTs:         res.LastTs,
 	}
 	if err := rt.recover(res, &d, info); err != nil {
-		// Durability is unrecoverable: stop the goroutines without letting
-		// Close attempt further log writes.
-		rt.walActive.Store(false)
-		_ = rt.Close()
+		// Durability is unrecoverable: stop the goroutines with no final
+		// flush and no further log writes.
+		rt.crash()
 		return nil, nil, err
 	}
 	return rt, info, nil
@@ -369,9 +342,8 @@ func (rt *Runtime) writeCheckpointLocked() error {
 }
 
 // noteWALError folds one WAL failure into the runtime's fault surface and
-// applies the error policy: fail-stop passes the error through, degrade
-// swallows it and turns the WAL off. Safe without mu (Register/Ingest call
-// it under mu; the merger calls it from its own goroutine).
+// passes it through (fail-stop). Safe without mu (Register/Ingest call it
+// under mu; the merger calls it from its own goroutine).
 func (rt *Runtime) noteWALError(err error) error {
 	if err == nil {
 		return nil
@@ -388,16 +360,12 @@ func (rt *Runtime) noteWALError(err error) error {
 		rt.walFaults = append(rt.walFaults, f)
 	}
 	rt.walFaultsMu.Unlock()
-	if rt.cfg.Durability != nil && rt.cfg.Durability.OnWALError == WALDegrade {
-		rt.walActive.Store(false)
-		return nil
-	}
 	return err
 }
 
 // WALErrors returns the recorded write-ahead-log fault records (capped at
-// a small fixed number; under fail-stop the first entry is the root
-// cause, later ones re-observations of the sticky writer error).
+// a small fixed number; the first entry is the root cause, later ones
+// re-observations of the sticky writer error).
 func (rt *Runtime) WALErrors() []WALFault {
 	rt.walFaultsMu.Lock()
 	defer rt.walFaultsMu.Unlock()
@@ -406,8 +374,9 @@ func (rt *Runtime) WALErrors() []WALFault {
 	return out
 }
 
-// crash simulates a process crash for the crash-recovery differential
-// suite: worker channels close with the crashing flag set, so no engine
+// crash simulates a process crash — for the crash-recovery differential
+// suite, and to abort a NewDurable whose recovery failed: worker channels
+// close with the crashing flag set, so no engine
 // final-flushes (a crash cannot confirm trailing negations), the merger
 // exits holding back its heap, buffered-but-unflushed events are
 // discarded (they were never durable), and the log is closed without a

@@ -273,66 +273,6 @@ func TestDurableMidStreamRegistration(t *testing.T) {
 	diffTranscripts(t, ref, got)
 }
 
-// TestDurableDegradePolicy: under WALDegrade a WAL failure is recorded,
-// the log turns off, and the stream continues uninterrupted — the full
-// transcript still matches a crash-free run.
-func TestDurableDegradePolicy(t *testing.T) {
-	srcs := durableQuerySrcs()
-	ecfg := core.Config{Strategy: core.StrategyLeftDeep, BatchSize: 64}
-	events := stockStream(800, 8, 17)
-	base := Config{Shards: 2, BatchSize: 128}
-
-	var ref []string
-	rt, err := runDurable(t, t.TempDir(), srcs, base, ecfg, nil, events, 0, &ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	inj := faultinject.New().Arm(faultinject.Rule{
-		Site: faultinject.SiteWALAppend, Shard: faultinject.AnyShard, Nth: 3, Act: faultinject.ActPanic,
-	})
-	cfg := base
-	cfg.test.injector = inj
-	cfg.Durability = &DurConfig{Dir: t.TempDir(), OnWALError: WALDegrade}
-	rt2, _, err := NewDurable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for i, src := range srcs {
-		i := i
-		if _, err := rt2.Register(query.MustParse(src), ecfg, func(m *core.Match) {
-			got = append(got, fmt.Sprintf("q%03d %s", i, canon(m)))
-		}); err != nil {
-			t.Fatalf("register under degrade: %v", err)
-		}
-	}
-	for _, ev := range events {
-		cp := *ev
-		if err := rt2.Ingest(&cp); err != nil {
-			t.Fatalf("degrade mode must not surface WAL errors to Ingest: %v", err)
-		}
-	}
-	if err := rt2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := rt2.Stats()
-	if st.WALEnabled {
-		t.Error("WAL still enabled after a degrade-policy failure")
-	}
-	if st.WALErrors == 0 {
-		t.Error("degrade-policy failure not counted")
-	}
-	faults := rt2.WALErrors()
-	if len(faults) == 0 || !faults[0].Simulated || faults[0].Op != "append" {
-		t.Errorf("unexpected WAL fault records: %+v", faults)
-	}
-	diffTranscripts(t, ref, got)
-}
-
 // TestDurableRetentionPrune: with tiny segments and frequent checkpoints,
 // retention must remove segments behind the recovery horizon while the
 // log still recovers the full recent window.
@@ -377,9 +317,8 @@ func TestDurableRetentionPrune(t *testing.T) {
 	}
 }
 
-// TestDurableFailStopSticky: under the default fail-stop policy the first
-// WAL error sheds the failing flush and every later Ingest keeps failing
-// with the sticky writer error.
+// TestDurableFailStopSticky: the first WAL error sheds the failing flush
+// and every later Ingest keeps failing with the sticky writer error.
 func TestDurableFailStopSticky(t *testing.T) {
 	inj := faultinject.New().Arm(faultinject.Rule{
 		Site: faultinject.SiteWALAppend, Shard: faultinject.AnyShard, Nth: 1, Act: faultinject.ActPanic,
@@ -407,12 +346,17 @@ func TestDurableFailStopSticky(t *testing.T) {
 		t.Fatalf("sticky fail-stop error surfaced only %d times", failed)
 	}
 	st := rt.Stats()
-	if st.WALEnabled {
-		// Fail-stop leaves the WAL nominally on; the sticky error is the
-		// signal. Only degrade turns WALEnabled off.
-		t.Log("WAL reported enabled under fail-stop (expected)")
+	if !st.WALEnabled {
+		t.Error("WALEnabled cleared by a WAL failure; the sticky error is the signal")
 	}
 	if st.WALErrors == 0 {
 		t.Error("WAL errors not counted")
+	}
+	if st.EventsShed == 0 {
+		t.Error("failed appends shed nothing")
+	}
+	faults := rt.WALErrors()
+	if len(faults) == 0 || !faults[0].Simulated || faults[0].Op != "append" {
+		t.Errorf("unexpected WAL fault records: %+v", faults)
 	}
 }

@@ -339,12 +339,17 @@ type Metrics struct {
 
 // Metrics captures an observability snapshot. After Close it returns the
 // final aggregate Stats with no per-query detail (the workers are gone).
+// Stats is read after the shard snapshots return, so it covers at least
+// every event the routers had seen (Router.Events <= Stats.EventsIngested
+// even under a concurrent ingester).
 func (rt *Runtime) Metrics() Metrics {
-	m := Metrics{Stats: rt.Stats()}
 	rt.mu.Lock()
+	if !rt.closed && rt.faults.dirty.Load() {
+		rt.reapFaultsLocked(true) // drops mu: check closed after it
+	}
 	if rt.closed {
 		rt.mu.Unlock()
-		return m
+		return Metrics{Stats: rt.Stats()}
 	}
 	type liveQ struct {
 		id      QueryID
@@ -361,6 +366,7 @@ func (rt *Runtime) Metrics() Metrics {
 		qs = append(qs, liveQ{id: id, gid: gs.gid, members: gs.members, engines: gs.engines})
 	}
 	snaps := rt.snap(0, 0) // releases mu
+	m := Metrics{Stats: rt.Stats()}
 
 	byGID := map[int64]explain.Totals{}
 	prods := map[int64]*ProducerMetrics{}
@@ -373,10 +379,7 @@ func (rt *Runtime) Metrics() Metrics {
 		m.Router.RangeTableEntries += uint64(s.rangeEntries)
 		for _, gt := range s.groups {
 			t := byGID[gt.gid]
-			t.In += gt.totals.In
-			t.Out += gt.totals.Out
-			t.Buffered += gt.totals.Buffered
-			t.Evicted += gt.totals.Evicted
+			t.Add(gt.totals)
 			byGID[gt.gid] = t
 		}
 		for _, pt := range s.prods {
@@ -386,10 +389,7 @@ func (rt *Runtime) Metrics() Metrics {
 				prods[pt.id] = pm
 			}
 			pm.Events += pt.events
-			pm.Operators.In += pt.totals.In
-			pm.Operators.Out += pt.totals.Out
-			pm.Operators.Buffered += pt.totals.Buffered
-			pm.Operators.Evicted += pt.totals.Evicted
+			pm.Operators.Add(pt.totals)
 			if pt.readers > pm.Readers {
 				pm.Readers = pt.readers
 			}
@@ -398,12 +398,7 @@ func (rt *Runtime) Metrics() Metrics {
 	for _, lq := range qs {
 		qm := QueryMetrics{ID: lq.id, GroupID: lq.gid, Members: lq.members, Operators: byGID[lq.gid]}
 		for _, e := range lq.engines {
-			s := e.Snapshot()
-			qm.Engine.Events += s.Events
-			qm.Engine.Matches += s.Matches
-			qm.Engine.Rounds += s.Rounds
-			qm.Engine.PlanSwitches += s.PlanSwitches
-			qm.Engine.PeakMemBytes += s.PeakMemBytes
+			qm.Engine.Add(e.Snapshot())
 		}
 		m.Queries = append(m.Queries, qm)
 	}
@@ -482,12 +477,12 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	p.val("zstream_quarantined_queries", "", uint64(m.Stats.QuarantinedQueries))
 	p.family("zstream_query_faults_total", "Contained query faults recorded (engine dispatch or OnMatch panics).", "counter")
 	p.val("zstream_query_faults_total", "", m.Stats.Faults)
-	p.family("zstream_ingest_shed_events_total", "Events shed at the ingest queue boundary by the overload policy, per shard.", "counter")
+	p.family("zstream_ingest_shed_events_total", "Events shed at the ingest queue boundary (expired deadline or failed WAL append), per shard.", "counter")
 	for i, n := range m.Stats.ShedByShard {
 		p.val("zstream_ingest_shed_events_total", fmt.Sprintf(`{shard="%d"}`, i), n)
 	}
 
-	if m.Stats.WALEnabled || m.Stats.WALErrors > 0 {
+	if m.Stats.WALEnabled {
 		p.family("zstream_wal_errors_total", "WAL append/fsync/checkpoint failures recorded.", "counter")
 		p.val("zstream_wal_errors_total", "", m.Stats.WALErrors)
 		p.family("zstream_wal_appended_events_total", "Events made durable in the write-ahead log.", "counter")

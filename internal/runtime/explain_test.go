@@ -188,6 +188,46 @@ func TestExplainLiveCounters(t *testing.T) {
 	}
 }
 
+// TestMetricsConsistentUnderIngest: with a concurrent ingester, every
+// Metrics snapshot must be consistent — the aggregate Stats cover at least
+// every event the shard routers had classified when the snapshot was
+// taken.
+func TestMetricsConsistentUnderIngest(t *testing.T) {
+	rt := New(Config{Shards: 2, BatchSize: 8})
+	defer rt.Close()
+	q := query.MustParse(`PATTERN A; B WHERE A.name = B.name AND B.price > A.price WITHIN 20 units RETURN A, B`)
+	if _, err := rt.Register(q, core.Config{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	events := stockStream(50000, 8, 5)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, ev := range events {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cp := *ev
+			if err := rt.Ingest(&cp); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		m := rt.Metrics()
+		if m.Router.Events > m.Stats.EventsIngested {
+			t.Fatalf("snapshot %d: Router.Events %d > Stats.EventsIngested %d",
+				i, m.Router.Events, m.Stats.EventsIngested)
+		}
+	}
+	close(stop)
+	<-done
+}
+
 // TestExplainAdaptiveReplanObservable flips the stream's rate profile so an
 // adaptive engine re-plans, and checks that the switch is observable across
 // consecutive EXPLAIN snapshots: the switch counter increments, the plan

@@ -2,50 +2,9 @@ package runtime
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/event"
 )
-
-// OverloadPolicy selects what Ingest does when a shard worker's input
-// queue is full. Only event batches are ever shed: registry operations
-// (register/unregister/snapshot/quarantine) always ride the queue intact,
-// so control-plane semantics survive any overload policy.
-type OverloadPolicy int
-
-const (
-	// OverloadBlock blocks the ingest caller until the worker drains a
-	// slot — classic backpressure, the default and the only policy that
-	// never sheds.
-	OverloadBlock OverloadPolicy = iota
-	// OverloadBlockWithTimeout blocks up to Config.OverloadTimeout, then
-	// sheds the stuck shard's batch and moves on.
-	OverloadBlockWithTimeout
-	// OverloadDropNewest sheds the incoming batch immediately when the
-	// queue is full: queued (older) work is preferred.
-	OverloadDropNewest
-	// OverloadDropOldest sheds the oldest queued event batch to make room
-	// for the incoming one: fresh data is preferred. Registry operations
-	// found at the head are requeued (their relative order preserved), so
-	// under this policy an op may take effect a few batches later than its
-	// ingest-order point.
-	OverloadDropOldest
-)
-
-// String names the policy for logs and docs.
-func (p OverloadPolicy) String() string {
-	switch p {
-	case OverloadBlock:
-		return "block"
-	case OverloadBlockWithTimeout:
-		return "block-with-timeout"
-	case OverloadDropNewest:
-		return "drop-newest"
-	case OverloadDropOldest:
-		return "drop-oldest"
-	}
-	return "unknown"
-}
 
 // shedBatch counts and releases one shard's dropped event batch. The
 // events were stamped and owned by the runtime (Ingest forbids caller
@@ -70,17 +29,19 @@ func (rt *Runtime) shedTotal() uint64 {
 	return n
 }
 
-// sendBatch delivers one shard's event flush under the overload policy.
-// Only event batches pass through here — op messages always block — and a
-// policy shed is not an error: it is counted per shard and the batch
-// released. The returned error is non-nil only for context expiry.
+// sendBatch delivers one shard's event flush. A full queue always applies
+// backpressure; only the caller's own deadline sheds: once ctx expires, a
+// queue with room still takes the batch and a full one sheds it, counted
+// per shard. Only event batches pass through here — op messages always
+// block. The returned error is non-nil only for context expiry.
 //
-// An empty flush (heartbeat) that meets a full queue is skipped rather
-// than shed or waited on: a full queue already holds newer stream-time
-// messages for the shard, so the skip can never stall the watermark merge.
+// An empty flush (heartbeat) that meets a full queue under a deadline is
+// skipped rather than shed or waited on: a full queue already holds newer
+// stream-time messages for the shard, so the skip can never stall the
+// watermark merge.
 func (rt *Runtime) sendBatch(ctx context.Context, w *worker, shard int, msg shardMsg) error {
-	if rt.cfg.Overload == OverloadBlock && ctx == nil {
-		w.in <- msg // fast path: unconditional backpressure
+	if ctx == nil {
+		w.in <- msg
 		return nil
 	}
 	select {
@@ -91,71 +52,17 @@ func (rt *Runtime) sendBatch(ctx context.Context, w *worker, shard int, msg shar
 	if len(msg.events) == 0 {
 		return nil // heartbeat: skip, see above
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	switch rt.cfg.Overload {
-	case OverloadDropNewest:
+	select {
+	case w.in <- msg:
+		return nil
+	case <-ctx.Done():
 		rt.shedBatch(shard, msg.events)
-		return nil
-	case OverloadDropOldest:
-		rt.dropOldest(w, shard, msg)
-		return nil
-	case OverloadBlockWithTimeout:
-		t := time.NewTimer(rt.cfg.OverloadTimeout)
-		defer t.Stop()
-		select {
-		case w.in <- msg:
-			return nil
-		case <-t.C:
-			rt.shedBatch(shard, msg.events)
-			return nil
-		case <-done:
-			rt.shedBatch(shard, msg.events)
-			return ctx.Err()
-		}
-	default: // OverloadBlock with a context
-		select {
-		case w.in <- msg:
-			return nil
-		case <-done:
-			rt.shedBatch(shard, msg.events)
-			return ctx.Err()
-		}
+		return ctx.Err()
 	}
 }
 
-// dropOldest makes room for msg by shedding the oldest queued event batch.
-// Registry ops popped along the way are requeued at the tail in their
-// original relative order (the slot each pop frees guarantees the requeue
-// cannot block: sendMu makes this the only producer). If one full cycle
-// finds only ops, the incoming batch is shed instead.
-func (rt *Runtime) dropOldest(w *worker, shard int, msg shardMsg) {
-	for range rt.cfg.QueueLen + 1 {
-		select {
-		case w.in <- msg:
-			return
-		default:
-		}
-		var old shardMsg
-		select {
-		case old = <-w.in:
-		default:
-			continue // the worker drained the queue; retry the send
-		}
-		if old.reg != nil || old.unreg != 0 || old.snap != nil || old.quar != 0 {
-			w.in <- old
-			continue
-		}
-		rt.shedBatch(shard, old.events)
-	}
-	rt.shedBatch(shard, msg.events)
-}
-
-// IngestContext is Ingest with a deadline: when every queue stays full
-// until ctx expires (under OverloadBlock, the only policy that waits
-// indefinitely), the undelivered shard batches of the current flush are
+// IngestContext is Ingest with a deadline: when a queue stays full until
+// ctx expires, the undelivered shard batches of the current flush are
 // shed, counted, and ctx's error returned. Events buffered but not yet
 // flushed are kept for the next flush.
 func (rt *Runtime) IngestContext(ctx context.Context, ev *event.Event) error {

@@ -19,7 +19,7 @@ import (
 // stallWorker arms a one-shot stall on the first engine batch and returns
 // once the worker is provably parked inside it (its queue is then empty).
 // The tests build exact queue states on top: fill the queue, then drive
-// the overload policy under test with deterministic outcomes.
+// the deadline under test with deterministic outcomes.
 func stallWorker(t *testing.T, rt *Runtime, inj *faultinject.Injector, sym string) {
 	t.Helper()
 	inj.Arm(faultinject.Rule{Site: faultinject.SiteEngineBatch, Shard: faultinject.AnyShard,
@@ -35,125 +35,6 @@ func stallWorker(t *testing.T, rt *Runtime, inj *faultinject.Injector, sym strin
 	}
 }
 
-func TestOverloadDropNewest(t *testing.T) {
-	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 2,
-		Overload: OverloadDropNewest, test: testHooks{injector: inj}})
-	defer func() { inj.Release(); rt.Close() }()
-
-	var matches atomic.Int64
-	if _, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},
-		func(*core.Match) { matches.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	stallWorker(t, rt, inj, "IBM")
-
-	// Queue is empty, worker parked: two batches fill it, the next three
-	// are shed — newest-first, so the queued (older) batches survive.
-	ts := feedSym(t, rt, "IBM", 2, 10)
-	ts = feedSym(t, rt, "IBM", 3, ts)
-	st := rt.Stats()
-	if st.EventsShed != 3 || st.ShedByShard[0] != 3 {
-		t.Fatalf("stats = EventsShed %d ShedByShard %v, want 3 on shard 0",
-			st.EventsShed, st.ShedByShard)
-	}
-
-	inj.Release()
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A snapshot op would block on the stalled queue, so the Prometheus
-	// surface is checked post-Close (shed counters come from Stats).
-	var b strings.Builder
-	if err := rt.WriteMetrics(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `zstream_ingest_shed_events_total{shard="0"} 3`) {
-		t.Errorf("metrics missing shed counter:\n%s", b.String())
-	}
-	// The two queued batches (ts 10, 11) were processed after release.
-	if matches.Load() == 0 {
-		t.Error("surviving batches produced no matches")
-	}
-}
-
-func TestOverloadDropOldestPreservesOps(t *testing.T) {
-	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 2,
-		Overload: OverloadDropOldest, test: testHooks{injector: inj}})
-	defer func() { inj.Release(); rt.Close() }()
-
-	idIBM, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},
-		func(*core.Match) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stallWorker(t, rt, inj, "IBM")
-
-	// Queue: [register(SUN)] — an op sitting where DropOldest pops.
-	var sun atomic.Int64
-	idSUN, err := rt.Register(query.MustParse(riseSrc("SUN")), core.Config{},
-		func(*core.Match) { sun.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill: [register(SUN), batch(ts=10)]. The next batch forces a pop:
-	// the op at the head must be requeued, not shed; the event batch
-	// behind it is the one that goes.
-	ts := feedSym(t, rt, "IBM", 1, 10)
-	ts = feedSym(t, rt, "IBM", 1, ts)
-	if st := rt.Stats(); st.EventsShed != 1 {
-		t.Fatalf("EventsShed = %d, want 1 (the queued batch, never the op)", st.EventsShed)
-	}
-
-	// Unpark the worker and drain the queue (the Explain snap roundtrips
-	// behind everything queued, including the requeued registration)
-	// before feeding the second query: DropOldest would otherwise shed
-	// the very events this assertion needs.
-	inj.Release()
-	syncShards(t, rt, idIBM)
-	for i := 0; i < 3; i++ {
-		ts = feedSym(t, rt, "SUN", 2, 100+ts)
-		syncShards(t, rt, idIBM)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sun.Load() == 0 {
-		t.Error("registration op was lost under DropOldest: SUN query never matched")
-	}
-	if _, err := rt.Explain(idSUN); !errors.Is(err, ErrClosed) {
-		t.Errorf("Explain post-Close = %v", err)
-	}
-}
-
-func TestOverloadBlockWithTimeout(t *testing.T) {
-	inj := faultinject.New()
-	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 1,
-		Overload: OverloadBlockWithTimeout, OverloadTimeout: 10 * time.Millisecond,
-		test: testHooks{injector: inj}})
-	defer func() { inj.Release(); rt.Close() }()
-
-	if _, err := rt.Register(query.MustParse(riseSrc("IBM")), core.Config{},
-		func(*core.Match) {}); err != nil {
-		t.Fatal(err)
-	}
-	stallWorker(t, rt, inj, "IBM")
-	ts := feedSym(t, rt, "IBM", 1, 10) // fills the queue
-	start := time.Now()
-	feedSym(t, rt, "IBM", 2, ts) // each waits ~10ms, then sheds, no error
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timed-out sends took %v; timeout not honored", elapsed)
-	}
-	if st := rt.Stats(); st.EventsShed != 2 {
-		t.Fatalf("EventsShed = %d, want 2", st.EventsShed)
-	}
-	inj.Release()
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIngestContextHonorsDeadline(t *testing.T) {
 	inj := faultinject.New()
 	rt := New(Config{Shards: 1, BatchSize: 1, QueueLen: 1, test: testHooks{injector: inj}})
@@ -166,15 +47,16 @@ func TestIngestContextHonorsDeadline(t *testing.T) {
 	stallWorker(t, rt, inj, "IBM")
 	feedSym(t, rt, "IBM", 1, 10) // fills the queue
 
-	// Default Block policy would wait forever; the context bounds it.
+	// Backpressure would wait forever; the context bounds it.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	err := rt.IngestContext(ctx, event.NewStock(20, 20, 20, "IBM", 10, 1))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("IngestContext past deadline = %v", err)
 	}
-	if st := rt.Stats(); st.EventsShed != 1 {
-		t.Fatalf("EventsShed = %d, want 1 (the undeliverable batch)", st.EventsShed)
+	if st := rt.Stats(); st.EventsShed != 1 || st.ShedByShard[0] != 1 {
+		t.Fatalf("stats = EventsShed %d ShedByShard %v, want 1 on shard 0 (the undeliverable batch)",
+			st.EventsShed, st.ShedByShard)
 	}
 
 	// An already-expired context fails fast without touching the stream.
@@ -182,6 +64,20 @@ func TestIngestContextHonorsDeadline(t *testing.T) {
 	cancel2()
 	if err := rt.IngestContext(expired, event.NewStock(30, 30, 30, "IBM", 10, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("IngestContext with canceled ctx = %v", err)
+	}
+
+	inj.Release()
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot op would block on the stalled queue, so the Prometheus
+	// surface is checked post-Close (shed counters come from Stats).
+	var b strings.Builder
+	if err := rt.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `zstream_ingest_shed_events_total{shard="0"} 1`) {
+		t.Errorf("metrics missing shed counter:\n%s", b.String())
 	}
 }
 

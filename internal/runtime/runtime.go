@@ -8,7 +8,6 @@ import (
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -78,12 +77,6 @@ type Config struct {
 	// worker falls behind, Ingest blocks once its queue is full
 	// (backpressure). Default 8.
 	QueueLen int
-	// Overload selects the ingest-side behavior when a worker queue is
-	// full. Default OverloadBlock (backpressure, never sheds).
-	Overload OverloadPolicy
-	// OverloadTimeout bounds the wait under OverloadBlockWithTimeout.
-	// Default 50ms.
-	OverloadTimeout time.Duration
 	// Durability, when non-nil, enables the write-ahead event log and
 	// batch-boundary checkpoints (see DurConfig). Durable runtimes are
 	// constructed with NewDurable, which also performs crash recovery;
@@ -131,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 8
 	}
-	if c.OverloadTimeout <= 0 {
-		c.OverloadTimeout = 50 * time.Millisecond
-	}
 	return c
 }
 
@@ -160,8 +150,8 @@ type Stats struct {
 	// unregistered. See Runtime.Faults for the records themselves.
 	QuarantinedQueries int
 	Faults             uint64
-	// EventsShed counts events dropped at the ingest queue boundary by
-	// the overload policy or an expired ingest/drain deadline, never
+	// EventsShed counts events dropped at the ingest queue boundary by an
+	// expired ingest/drain deadline or a failed write-ahead append, never
 	// reaching their shard; ShedByShard breaks the count down per shard.
 	EventsShed       uint64
 	ShedByShard      []uint64
@@ -180,10 +170,10 @@ type Stats struct {
 	// size, not the registered set's.
 	RoundsByShard []uint64
 	Engine        core.EngineStats
-	// WALEnabled reports whether the write-ahead log is configured AND
-	// still active (a WALDegrade error clears it); WALErrors counts WAL
-	// failures observed, WALSuppressed the replayed matches withheld at or
-	// below the recovered emit watermark, and WALTruncatedBytes the torn
+	// WALEnabled reports whether the write-ahead log is configured (a WAL
+	// failure does not clear it: the runtime fails stop); WALErrors counts
+	// WAL failures observed, WALSuppressed the replayed matches withheld at
+	// or below the recovered emit watermark, and WALTruncatedBytes the torn
 	// tail recovery cut from the log. WAL aggregates the writer's own
 	// counters (appends, fsyncs, segments, pruning).
 	WALEnabled        bool
@@ -238,12 +228,11 @@ type groupState struct {
 
 // prefixState tracks one prefix-sharing family: how many live groups run
 // the prefix privately (the family's first registrant), how many consume
-// the shared producer, and the per-shard producers themselves (created
-// when the first consumer registers).
+// the shared producer, and the producer's id — 0 until the first consumer
+// registers and creates the per-shard producers (which live on the
+// workers), and again once the last consumer leaves.
 type prefixState struct {
-	prods     []*core.Subplan // one per shard; nil until a consumer exists
 	prodID    int64
-	prodInfo  *query.Info
 	solos     int
 	consumers int
 }
@@ -261,7 +250,7 @@ type Runtime struct {
 	ingested    atomic.Uint64
 	delivered   atomic.Uint64
 	engineDeliv atomic.Uint64
-	shed        []atomic.Uint64 // per-shard overload-shed event counts
+	shed        []atomic.Uint64 // per-shard shed event counts (see shedBatch)
 
 	// faults collects contained panics from workers and the merger; the
 	// next mu-holding API call reaps them into the registry (workers
@@ -299,11 +288,9 @@ type Runtime struct {
 	// Durability plane (all zero/nil when Config.Durability is off; see
 	// durable.go). wal is the write-ahead log writer; walPend mirrors the
 	// current flush's events in ingest order, appended as one batch record
-	// before the workers see them. walActive clears when a WAL error
-	// degrades the runtime to memory-only (WALDegrade policy).
+	// before the workers see them.
 	wal          *wal.Writer
 	walPend      []*event.Event
-	walActive    atomic.Bool
 	walErrs      atomic.Uint64
 	walFaultsMu  sync.Mutex
 	walFaults    []WALFault
@@ -388,7 +375,7 @@ func (rt *Runtime) Register(q *query.Query, cfg core.Config, emit func(*core.Mat
 	}
 	rt.nextID++
 	id, err := rt.registerLocked(rt.nextID, q, cfg, emit)
-	if err == nil && rt.wal != nil && rt.walActive.Load() {
+	if err == nil && rt.wal != nil {
 		// A checkpoint at every registration boundary keeps the durable
 		// query set current; recovery re-registers at the recorded seq.
 		if werr := rt.noteWALError(rt.writeCheckpointLocked()); werr != nil {
@@ -453,11 +440,11 @@ func (rt *Runtime) registerLocked(id QueryID, q *query.Query, cfg core.Config, e
 			if pfp, ok := query.PrefixFingerprint(q, k); ok {
 				prefixKey = pfp
 				ps = rt.prefixes[pfp]
-				consumer = ps != nil && (ps.prods != nil || ps.solos > 0 || ps.consumers > 0)
+				consumer = ps != nil && (ps.prodID != 0 || ps.solos > 0 || ps.consumers > 0)
 			}
 		}
 	}
-	if consumer && ps.prods == nil {
+	if consumer && ps.prodID == 0 {
 		pq, err := query.PrefixQuery(q, k)
 		if err != nil {
 			return 0, fmt.Errorf("runtime: register: %w", err)
@@ -499,11 +486,10 @@ func (rt *Runtime) registerLocked(id QueryID, q *query.Query, cfg core.Config, e
 		if consumer {
 			if newProds != nil {
 				rt.nextProdID--
-				ps.prods, ps.prodID, ps.prodInfo = newProds, rt.nextProdID, prodInfo
+				ps.prodID = rt.nextProdID
 			}
 			ps.consumers++
 			prodID = ps.prodID
-			prodInfo = ps.prodInfo
 		} else {
 			ps.solos++
 		}
@@ -575,7 +561,7 @@ func (rt *Runtime) Unregister(id QueryID) error {
 	if gs.members == 0 {
 		rt.dropGroupLocked(reg.key, gs)
 	}
-	if rt.wal != nil && rt.walActive.Load() {
+	if rt.wal != nil {
 		// Record the shrunken query set so recovery does not resurrect the
 		// unregistered query.
 		if werr := rt.noteWALError(rt.writeCheckpointLocked()); werr != nil {
@@ -596,12 +582,7 @@ func (rt *Runtime) Unregister(id QueryID) error {
 // hold mu.
 func (rt *Runtime) dropGroupLocked(key groupKey, gs *groupState) {
 	for _, e := range gs.engines {
-		s := e.Snapshot()
-		rt.retired.Matches += s.Matches
-		rt.retired.Rounds += s.Rounds
-		rt.retired.PlanSwitches += s.PlanSwitches
-		rt.retired.PeakMemBytes += s.PeakMemBytes
-		rt.retired.Events += s.Events
+		rt.retired.Add(e.Snapshot())
 	}
 	delete(rt.groups, key)
 	if gs.prefixKey == "" {
@@ -614,7 +595,7 @@ func (rt *Runtime) dropGroupLocked(key groupKey, gs *groupState) {
 	if gs.consumer {
 		ps.consumers--
 		if ps.consumers == 0 {
-			ps.prods, ps.prodID, ps.prodInfo = nil, 0, nil
+			ps.prodID = 0
 		}
 	} else {
 		ps.solos--
@@ -652,7 +633,7 @@ func (rt *Runtime) ingest(ctx context.Context, ev *event.Event) error {
 	rt.lastTs = ev.Ts
 	rt.lastSeq++
 	ev.Seq = rt.lastSeq
-	if rt.wal != nil && rt.walActive.Load() {
+	if rt.wal != nil {
 		// Mirror the event in ingest order; the flush appends the mirror as
 		// one write-ahead batch record before any worker sees the events.
 		rt.walPend = append(rt.walPend, ev)
@@ -718,12 +699,12 @@ func (rt *Runtime) sendLocked(op func(shard int) shardMsg) {
 	_ = rt.sendLockedCtx(nil, op)
 }
 
-// sendLockedCtx is sendLocked with overload/deadline handling on the event
-// flush: each shard's batch goes through sendBatch (which applies the
-// overload policy and ctx), while op messages always block — registry
-// operations are never shed. Returns the first context-expiry error; shard
-// batches after an expiry are shed and counted, so one flush never
-// half-blocks.
+// sendLockedCtx is sendLocked with a deadline on the event flush: each
+// shard's batch goes through sendBatch, while op messages always block —
+// registry operations are never shed. Once ctx expires every later shard
+// is still offered its batch, which a full queue sheds (counted) and a
+// queue with room takes, so one flush never half-blocks. Returns the
+// first context-expiry or WAL error.
 func (rt *Runtime) sendLockedCtx(ctx context.Context, op func(shard int) shardMsg) error {
 	batches := rt.pending
 	ts := rt.lastTs
@@ -752,17 +733,16 @@ func (rt *Runtime) sendLockedCtx(ctx context.Context, op func(shard int) shardMs
 	var walErr error
 	if wp != nil {
 		// Write-ahead: the batch record must be durable (to the OS at
-		// least) before any worker can act on the events. Under fail-stop
-		// a failed append sheds the whole flush — the events were never
+		// least) before any worker can act on the events. A failed append
+		// sheds the whole flush (fail-stop) — the events were never
 		// durable, so they must not be processed either.
 		walErr = rt.wal.AppendBatch(wp)
 	}
-	failStop := walErr != nil && rt.cfg.Durability.OnWALError == WALFailStop
 	for i, w := range rt.workers {
 		if flush {
-			if err != nil || failStop {
+			if walErr != nil {
 				rt.shedBatch(i, batches[i])
-			} else if e := rt.sendBatch(ctx, w, i, shardMsg{events: batches[i], ts: ts}); e != nil {
+			} else if e := rt.sendBatch(ctx, w, i, shardMsg{events: batches[i], ts: ts}); e != nil && err == nil {
 				err = e
 			}
 		}
@@ -788,7 +768,7 @@ func (rt *Runtime) sendLockedCtx(ctx context.Context, op func(shard int) shardMs
 			if werr := rt.noteWALError(walErr); werr != nil && err == nil {
 				err = werr
 			}
-		} else if rt.walActive.Load() {
+		} else if !rt.closed { // Close checkpoints once the merger drains
 			rt.sinceCkpt += nWAL
 			if rt.sinceCkpt >= rt.cfg.Durability.CheckpointEvery {
 				if werr := rt.noteWALError(rt.writeCheckpointLocked()); werr != nil && err == nil {
@@ -834,45 +814,20 @@ func (rt *Runtime) closeCtx(ctx context.Context) (DrainReport, error) {
 		rt.reapFaultsLocked(true)
 	}
 	rt.closed = true
-	batches := rt.pending
-	ts := rt.lastTs
-	flush := rt.nPend > 0 || ts != math.MinInt64/2
-	rt.pending = make([][]*event.Event, rt.cfg.Shards)
-	rt.nPend = 0
-	var wp []*event.Event
-	if rt.wal != nil && len(rt.walPend) > 0 {
-		wp, rt.walPend = rt.walPend, nil
-	}
 	shedBefore := rt.shedTotal()
-	// Channels are closed inside the sendMu phase, after any in-flight
-	// Register/Ingest send completes; closed (set under mu above) stops
-	// later callers before they reach a send.
+	// The final flush is an ordinary one — write-ahead first, shed what
+	// never became durable, shed past the deadline rather than block — and
+	// its errors are already counted (WAL) or reported below (deadline).
+	// closed, set above, stops every later caller before it reaches a send,
+	// so once the flush's own send phase is over the channels can close;
+	// the workers always terminate.
+	_ = rt.sendLockedCtx(ctx, nil)
 	rt.sendMu.Lock()
-	rt.mu.Unlock()
-	var walErr error
-	if wp != nil {
-		// The final flush obeys the same write-ahead discipline as every
-		// other one: log first, and under fail-stop shed what never became
-		// durable.
-		walErr = rt.wal.AppendBatch(wp)
-	}
-	walShed := walErr != nil && rt.cfg.Durability.OnWALError == WALFailStop
-	for i, w := range rt.workers {
-		if flush {
-			if walShed {
-				rt.shedBatch(i, batches[i])
-			} else {
-				// Past the deadline sendBatch sheds rather than blocks; the
-				// channels are closed regardless, so workers always terminate.
-				_ = rt.sendBatch(ctx, w, i, shardMsg{events: batches[i], ts: ts})
-			}
-		}
+	for _, w := range rt.workers {
 		close(w.in)
 	}
 	rt.sendMu.Unlock()
-	if walErr != nil {
-		_ = rt.noteWALError(walErr)
-	}
+	rt.mu.Unlock()
 	rep := DrainReport{}
 	var err error
 	select {
@@ -886,9 +841,7 @@ func (rt *Runtime) closeCtx(ctx context.Context) (DrainReport, error) {
 		// A final checkpoint at the closed position makes a clean restart
 		// replay-and-suppress everything (no duplicate output).
 		rt.mu.Lock()
-		if rt.walActive.Load() {
-			_ = rt.noteWALError(rt.writeCheckpointLocked())
-		}
+		_ = rt.noteWALError(rt.writeCheckpointLocked())
 		rt.mu.Unlock()
 		if cerr := rt.noteWALError(rt.wal.Close()); cerr != nil && err == nil {
 			err = cerr
@@ -918,7 +871,7 @@ func (rt *Runtime) Stats() Stats {
 	}
 	nProds := 0
 	for _, ps := range rt.prefixes {
-		if ps.prods != nil {
+		if ps.prodID != 0 {
 			nProds++
 		}
 	}
@@ -953,15 +906,10 @@ func (rt *Runtime) Stats() Stats {
 		st.RoundsByShard[i] = rt.workers[i].rounds.Load()
 	}
 	for _, e := range engines {
-		s := e.Snapshot()
-		st.Engine.Matches += s.Matches
-		st.Engine.Rounds += s.Rounds
-		st.Engine.PlanSwitches += s.PlanSwitches
-		st.Engine.PeakMemBytes += s.PeakMemBytes
-		st.Engine.Events += s.Events
+		st.Engine.Add(e.Snapshot())
 	}
 	if rt.wal != nil {
-		st.WALEnabled = rt.walActive.Load()
+		st.WALEnabled = true
 		st.WAL = rt.wal.Stats()
 	}
 	st.WALErrors = rt.walErrs.Load()

@@ -128,14 +128,11 @@ type engineGroup struct {
 	quarantined bool
 }
 
-// querySlot is one registered query. ord is its index in worker.slots
-// (registration order), the key of the deterministic per-batch match
-// interleaving.
+// querySlot is one registered query.
 type querySlot struct {
 	id   QueryID
 	emit func(*core.Match)
 	g    *engineGroup
-	ord  uint32
 }
 
 // prodEntry is one live shared-subplan producer on this shard, with the
@@ -383,16 +380,15 @@ func (w *worker) flushGroup(g *engineGroup) {
 // first slot of a group delivers the engine's matches as is; further slots
 // (dedupe aliases) get private shallow clones, preserving the exact
 // per-slot emission a private twin engine would have produced. seq carries
-// the sort key (slot ordinal, index) until gathered stamps it.
+// the engine emission index until gathered stamps it.
 func (w *worker) collect(g *engineGroup) {
 	ms := g.sink.buf
 	for si, s := range g.slots {
-		key := uint64(s.ord) << 32
 		for i, m := range ms {
 			if si > 0 {
 				m = cloneMatch(m)
 			}
-			w.out = append(w.out, pendingMatch{end: m.End, shard: w.id, seq: key | uint64(i), m: m, emit: s.emit, id: s.id})
+			w.out = append(w.out, pendingMatch{end: m.End, shard: w.id, seq: uint64(i), m: m, emit: s.emit, id: s.id})
 		}
 	}
 	clear(ms)
@@ -400,16 +396,21 @@ func (w *worker) collect(g *engineGroup) {
 }
 
 // gathered returns the message's matches in the shard's emission order:
-// each engine emits in end-time order, and end-time ties break by slot
-// registration order, then engine emission order — the order a walk over
-// every slot would produce, at O(touched) cost. seq is stamped after the
-// sort, so it is monotone across batches for the merger's tie-break.
+// each engine emits in end-time order, and end-time ties break by QueryID,
+// then engine emission order. QueryIDs are assigned in registration order
+// (and recovery re-registers in that order), so this is the order a walk
+// over every slot in registration order would produce, at O(touched) cost.
+// seq is stamped after the sort, so it is monotone across batches for the
+// merger's tie-break.
 func (w *worker) gathered() []pendingMatch {
 	batch := w.out
 	w.out = nil
 	slices.SortFunc(batch, func(a, b pendingMatch) int {
 		if a.end != b.end {
 			return cmp.Compare(a.end, b.end)
+		}
+		if a.id != b.id {
+			return cmp.Compare(a.id, b.id)
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
@@ -438,14 +439,6 @@ func (w *worker) syncIdle(g *engineGroup) {
 	g.eng.SyncAt(w.shardTime)
 }
 
-// dropSlots removes the slots drop selects and renumbers the rest.
-func (w *worker) dropSlots(drop func(*querySlot) bool) {
-	w.slots = slices.DeleteFunc(w.slots, drop)
-	for i, s := range w.slots {
-		s.ord = uint32(i)
-	}
-}
-
 // sweepQuarantined structurally removes every group and producer flagged
 // since the last sweep. It runs at the batch boundary (after every visit),
 // so no flagged state is removed mid-iteration. A quarantined consumer's
@@ -457,7 +450,7 @@ func (w *worker) sweepQuarantined() {
 		return
 	}
 	w.quarDirty = false
-	w.dropSlots(func(s *querySlot) bool { return s.g.quarantined })
+	w.slots = slices.DeleteFunc(w.slots, func(s *querySlot) bool { return s.g.quarantined })
 	for _, g := range slices.Clone(w.groups) {
 		if g.quarantined {
 			w.dropGroup(g)
@@ -510,7 +503,7 @@ func (w *worker) register(op *regOp) {
 			return
 		}
 	}
-	s := &querySlot{id: op.id, emit: op.emit, g: g, ord: uint32(len(w.slots))}
+	s := &querySlot{id: op.id, emit: op.emit, g: g}
 	g.slots = append(g.slots, s)
 	w.slots = append(w.slots, s)
 }
@@ -523,7 +516,7 @@ func (w *worker) unregister(id QueryID) {
 		return
 	}
 	s := w.slots[i]
-	w.dropSlots(func(x *querySlot) bool { return x == s })
+	w.slots = slices.Delete(w.slots, i, i+1)
 	g := s.g
 	g.slots = slices.DeleteFunc(g.slots, func(x *querySlot) bool { return x == s })
 	if len(g.slots) == 0 {
@@ -807,17 +800,14 @@ func (rt *Runtime) runMerger() {
 					cnt++
 				}
 			}
-			if rt.walActive.Load() {
-				if rt.noteWALError(rt.wal.WriteEmitWM(wal.EmitWM{End: end, Count: cnt})) != nil {
-					// Fail-stop and the watermark did not become durable:
-					// delivering now would double-deliver after recovery
-					// (replay would not suppress these matches). Drop the
-					// round — every constituent event is already durably
-					// logged ahead of the engines, so replay rebuilds and
-					// delivers these matches itself.
-					clear(round)
-					return
-				}
+			if rt.noteWALError(rt.wal.WriteEmitWM(wal.EmitWM{End: end, Count: cnt})) != nil {
+				// The watermark did not become durable: delivering now would
+				// double-deliver after recovery (replay would not suppress
+				// these matches). Drop the round — every constituent event is
+				// already durably logged ahead of the engines, so replay
+				// rebuilds and delivers these matches itself.
+				clear(round)
+				return
 			}
 			rt.wmEnd.Store(end)
 			rt.wmCount.Store(cnt)

@@ -3,8 +3,8 @@ package wal
 import "fmt"
 
 // Error is the typed error for every WAL failure: appends, fsyncs,
-// checkpoint writes, rotation, and recovery scans. The runtime's
-// OnWALError policy dispatches on it, and tests can assert on Op and
+// checkpoint writes, rotation, and recovery scans. The runtime records it
+// as a fault record and fails stop, and tests can assert on Op and
 // Simulated (set for faultinject-induced failures, which model crashes
 // without real I/O errors).
 type Error struct {

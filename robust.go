@@ -2,7 +2,6 @@ package zstream
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/runtime"
 )
@@ -29,51 +28,15 @@ type UnknownQueryError = runtime.UnknownQueryError
 // errors.Is.
 type OutOfOrderError = runtime.OutOfOrderError
 
-// OverloadPolicy selects what Ingest does when a worker shard's input
-// queue is full; see the policy constants. Whatever the policy, only event
-// batches are ever shed — registrations, unregistrations and snapshots
-// always take effect.
-type OverloadPolicy = runtime.OverloadPolicy
-
-const (
-	// OverloadBlock blocks Ingest until the slow shard drains — classic
-	// backpressure, the default, never sheds.
-	OverloadBlock = runtime.OverloadBlock
-	// OverloadBlockWithTimeout blocks up to the configured overload
-	// timeout (WithOverloadTimeout), then sheds the stuck shard's batch.
-	OverloadBlockWithTimeout = runtime.OverloadBlockWithTimeout
-	// OverloadDropNewest sheds the incoming batch when the queue is full,
-	// preferring queued (older) work.
-	OverloadDropNewest = runtime.OverloadDropNewest
-	// OverloadDropOldest sheds the oldest queued batch to make room,
-	// preferring fresh data.
-	OverloadDropOldest = runtime.OverloadDropOldest
-)
-
 // DrainReport is CloseContext's account of a bounded drain: whether every
 // engine flushed and every match delivered before the deadline, and how
 // many buffered events were shed because they could not be.
 type DrainReport = runtime.DrainReport
 
-// WithOverloadPolicy selects the ingest overload policy (default
-// OverloadBlock). Shed events are counted per shard in
-// RuntimeStats.ShedByShard and the zstream_ingest_shed_events_total
-// metric.
-func WithOverloadPolicy(p OverloadPolicy) RuntimeOption {
-	return func(c *runtime.Config) { c.Overload = p }
-}
-
-// WithOverloadTimeout bounds the wait under OverloadBlockWithTimeout
-// (default 50ms).
-func WithOverloadTimeout(d time.Duration) RuntimeOption {
-	return func(c *runtime.Config) { c.OverloadTimeout = d }
-}
-
-// IngestContext is Ingest with a deadline: when backpressure would block
-// past ctx's expiry, the undelivered shard batches of the current flush
-// are shed (counted in RuntimeStats.EventsShed) and ctx's error returned.
-// Under a shedding overload policy it behaves like Ingest — those policies
-// never block long enough to notice the deadline.
+// IngestContext is Ingest with a deadline. A full shard queue always
+// applies backpressure; when it would block past ctx's expiry, the
+// undelivered shard batches of the current flush are shed (counted in
+// RuntimeStats.EventsShed and ShedByShard) and ctx's error returned.
 func (r *Runtime) IngestContext(ctx context.Context, ev *Event) error {
 	return r.rt.IngestContext(ctx, ev)
 }
