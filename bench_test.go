@@ -1,5 +1,6 @@
 // Benchmarks, one per table and figure of the paper's evaluation (§6),
-// plus the DESIGN.md ablations and a few micro-benchmarks. Each benchmark
+// plus the design-choice ablations (internal/experiments/ablations.go) and
+// a few micro-benchmarks. Each benchmark
 // exercises the central workload of its experiment and reports events/s;
 // `cmd/zbench` runs the full parameter sweeps and prints the paper-style
 // tables.

@@ -1,5 +1,6 @@
 // Command zbench regenerates the paper's evaluation (§6): every figure and
-// table, plus the design-choice ablations listed in DESIGN.md.
+// table, plus the design-choice ablations (hash equality, EAT push-down,
+// batch size).
 //
 // Usage:
 //
@@ -9,7 +10,7 @@
 //	zbench -list                # list experiment ids
 //
 // Output is one text table per experiment, with the paper's expectations
-// attached as notes; EXPERIMENTS.md records a full paper-vs-measured run.
+// attached as notes.
 // Performance of the multi-query runtime is measured by bench/ (see
 // bench/README.md), not here.
 package main

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/buffer"
@@ -102,9 +103,47 @@ type Field struct {
 }
 
 // Match is one detected composite event.
+//
+// A *Match handed to an emit callback is borrowed: it is valid only until
+// the callback returns, like bufio.Scanner.Bytes, because its storage is
+// reused for the next match. A callback that keeps a match keeps m.Clone().
 type Match struct {
 	Start, End int64
 	Fields     []Field
+}
+
+// Clone returns a copy of m the caller may keep: it shares m's events and
+// values, which are immutable, but none of m's storage.
+func (m *Match) Clone() *Match {
+	c := new(Match)
+	CopyMatch(c, nil, m)
+	return c
+}
+
+// CopyMatch overwrites dst with src, reusing dst's Fields array and evs as
+// the backing of dst's event slices, and returns evs (grown if it had to).
+// Like Clone, the copy shares no storage with src, so it stays valid after
+// src's is reused; unlike Clone, a dst recycled with its evs allocates
+// nothing once both have grown to the largest match copied into them.
+func CopyMatch(dst *Match, evs []*event.Event, src *Match) []*event.Event {
+	n := 0
+	for i := range src.Fields {
+		n += len(src.Fields[i].Events)
+	}
+	// Grown once up front, so no append below moves the slices already cut.
+	evs = slices.Grow(evs[:0], n)
+	dst.Start, dst.End = src.Start, src.End
+	dst.Fields = append(dst.Fields[:0], src.Fields...)
+	for i := range dst.Fields {
+		f := &dst.Fields[i]
+		if f.Events == nil {
+			continue
+		}
+		lo := len(evs)
+		evs = append(evs, f.Events...)
+		f.Events = evs[lo:len(evs):len(evs)]
+	}
+	return evs
 }
 
 // Engine runs one query over a stream of primitive events.
@@ -156,6 +195,12 @@ type Engine struct {
 	lastSwitch *explain.Switch
 
 	recTap func(*buffer.Record)
+
+	// scratch is the one Match every emit borrows (toMatch; allocated on
+	// first use), and scratchEvs backs its single-event Fields, slot i for
+	// RETURN item i.
+	scratch    *Match
+	scratchEvs []*event.Event
 }
 
 // SetRecordTap installs a callback receiving every emitted root record
@@ -163,7 +208,7 @@ type Engine struct {
 func (e *Engine) SetRecordTap(f func(*buffer.Record)) { e.recTap = f }
 
 // NewEngine compiles q into an executable engine; emit receives matches in
-// end-time order.
+// end-time order, each borrowed only until emit returns (see Match).
 func NewEngine(q *query.Query, cfg Config, emit func(*Match)) (*Engine, error) {
 	if q.Info == nil {
 		return nil, fmt.Errorf("core: query not analyzed")
@@ -538,20 +583,28 @@ func (e *Engine) drain() {
 		}
 		if e.emit != nil {
 			e.emit(e.toMatch(rec))
+			// The callback has returned: drop the event pointers, so an
+			// idle engine's scratch pins nothing of its last match.
+			clear(e.scratch.Fields)
+			clear(e.scratchEvs)
 		}
 	}
 	out.Consume()
 	out.DropConsumedPrefix()
 }
 
-// toMatch builds a Match in three allocations however long the RETURN
-// list: the header, the Fields array and one backing array shared by the
-// single-event items (each item's slice is capped to its own element, so a
-// caller's append cannot reach its neighbour).
+// toMatch fills the engine's scratch match from a root record, allocating
+// nothing after the first call however long the RETURN list. Each
+// single-event item's slice is capped to its own backing slot, so a
+// callback's append cannot reach its neighbour.
 func (e *Engine) toMatch(rec *buffer.Record) *Match {
-	n := len(e.retNames)
-	m := &Match{Start: rec.Start, End: rec.End, Fields: make([]Field, n)}
-	var evs []*event.Event
+	m := e.scratch
+	if m == nil {
+		n := len(e.retNames)
+		m = &Match{Fields: make([]Field, n)}
+		e.scratch, e.scratchEvs = m, make([]*event.Event, n)
+	}
+	m.Start, m.End = rec.Start, rec.End
 	e.renv.R = rec
 	for i, name := range e.retNames {
 		f := &m.Fields[i]
@@ -561,11 +614,8 @@ func (e *Engine) toMatch(rec *buffer.Record) *Match {
 		} else if s := rec.Slots[cls]; s.E == nil {
 			f.Events = s.Group
 		} else {
-			if evs == nil {
-				evs = make([]*event.Event, 0, n-i)
-			}
-			evs = append(evs, s.E)
-			f.Events = evs[len(evs)-1 : len(evs) : len(evs)]
+			e.scratchEvs[i] = s.E
+			f.Events = e.scratchEvs[i : i+1 : i+1]
 		}
 	}
 	e.renv.R = nil

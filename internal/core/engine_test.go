@@ -372,7 +372,7 @@ func TestEngineMatchFields(t *testing.T) {
 		WITHIN 10
 		RETURN A, B.price, B.price - A.price AS delta`)
 	var got []*Match
-	eng, err := NewEngine(q, Config{BatchSize: 1}, func(m *Match) { got = append(got, m) })
+	eng, err := NewEngine(q, Config{BatchSize: 1}, func(m *Match) { got = append(got, m.Clone()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +397,62 @@ func TestEngineMatchFields(t *testing.T) {
 	}
 	if m.Fields[2].Name != "delta" || !m.Fields[2].Value.Equal(event.Float(15)) {
 		t.Errorf("delta = %+v", m.Fields[2])
+	}
+}
+
+// TestEngineMatchIsBorrowed pins the emit contract: every callback borrows
+// the engine's one scratch match, whose event pointers are cleared once the
+// callback returns, while a Clone taken inside the callback keeps the
+// match — closure group included — and owns its slices.
+func TestEngineMatchIsBorrowed(t *testing.T) {
+	q := query.MustParse(`PATTERN A;B+;C
+		WHERE A.name='A' AND B.name='B' AND C.name='C'
+		WITHIN 4`)
+	var kept, clones []*Match
+	eng, err := NewEngine(q, Config{BatchSize: 1}, func(m *Match) {
+		kept = append(kept, m)
+		clones = append(clones, m.Clone())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"A", "B", "B", "C", "A", "B", "C"} {
+		eng.Process(event.NewStock(0, int64(i+1), int64(i+1), name, 1, 1))
+	}
+	eng.Flush()
+	if len(kept) != 2 {
+		t.Fatalf("matches = %d, want 2", len(kept))
+	}
+	if kept[0] != kept[1] {
+		t.Error("callbacks got distinct matches, want the one scratch match")
+	}
+	for _, f := range kept[0].Fields {
+		if f.Events != nil {
+			t.Errorf("borrowed match still holds %s's events after its callback", f.Name)
+		}
+	}
+	want := []string{"[1..4] A=1 B=2,3 C=4", "[5..7] A=5 B=6 C=7"}
+	for i, c := range clones {
+		s := fmt.Sprintf("[%d..%d]", c.Start, c.End)
+		for _, f := range c.Fields {
+			s += " " + f.Name + "="
+			for j, ev := range f.Events {
+				if j > 0 {
+					s += ","
+				}
+				s += fmt.Sprint(ev.Ts)
+			}
+		}
+		if s != want[i] {
+			t.Errorf("clone %d = %s, want %s", i, s, want[i])
+		}
+	}
+	// A clone's single-event slices are capped: appending to one field
+	// cannot overwrite its neighbour.
+	c := clones[1]
+	_ = append(c.Fields[0].Events, nil)
+	if c.Fields[1].Events[0] == nil || c.Fields[1].Events[0].Ts != 6 {
+		t.Error("append to a cloned field overwrote its neighbour")
 	}
 }
 

@@ -271,7 +271,7 @@ func TestFig17LeftDeepWins(t *testing.T) {
 	// At Table-4 class densities the join work is a small fraction of the
 	// per-event scan cost in this implementation (window-tight scans),
 	// so the plans sit close together; require left-deep not to lose by
-	// more than the noise band (see EXPERIMENTS.md).
+	// more than the noise band.
 	if s.Runs[0].Throughput < 0.7*s.Runs[1].Throughput {
 		t.Errorf("left-deep (%v) far below right-deep (%v)", s.Runs[0].Throughput, s.Runs[1].Throughput)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -45,7 +46,7 @@ type Unit struct {
 	Anchor     int // the non-negated class of the block
 
 	// Kleene fields (UnitKSeq). StartClass/EndClass are -1 when the
-	// closure opens/closes the pattern.
+	// closure opens/closes the pattern (see ErrKleeneAnchor).
 	StartClass int
 	MidClass   int
 	EndClass   int
@@ -94,6 +95,13 @@ type TopNeg struct {
 	NegClasses []int
 	Prev, Next []int // non-negated classes before/after the term
 }
+
+// ErrKleeneAnchor rejects a Kleene closure with a neighbour it cannot
+// anchor to: KSEQ bounds the closure's group by the plain event classes
+// right before and after it, so each neighbouring term must be one, and
+// not one another closure already took as its anchor. A closure may also
+// open or close the pattern.
+var ErrKleeneAnchor = errors.New("plan: a Kleene closure's neighbours must be plain event classes")
 
 // Units derives the planning units for an analyzed query.
 // topNegs lists negation terms that could not (or were configured not to)
@@ -185,8 +193,8 @@ func Units(in *query.Info, placement NegPlacement) (units []*Unit, topNegs []Top
 				Closure:    t.Closure,
 				Count:      t.Count,
 			}
-			// fuse the preceding simple unit as the start anchor
-			if n := len(units); n > 0 && units[n-1].Kind == UnitSimple {
+			// fuse the preceding simple class term as the start anchor
+			if n := len(units); n > 0 && units[n-1].Kind == UnitSimple && in.Terms[ti-1].Kind == query.TermClass {
 				u.StartClass = units[n-1].Classes[0]
 				units = units[:n-1]
 			}
@@ -195,8 +203,8 @@ func Units(in *query.Info, placement NegPlacement) (units []*Unit, topNegs []Top
 				u.EndClass = in.Terms[ti+1].Classes[0]
 				fusedInto[ti+1] = len(units)
 			}
-			if u.StartClass < 0 && u.EndClass < 0 && len(in.Terms) > 1 {
-				return nil, nil, fmt.Errorf("plan: Kleene closure must be adjacent to a plain event class")
+			if (ti > 0 && u.StartClass < 0) || (ti+1 < len(in.Terms) && u.EndClass < 0) {
+				return nil, nil, fmt.Errorf("%w (term %d)", ErrKleeneAnchor, ti)
 			}
 			var cls []int
 			if u.StartClass >= 0 {

@@ -27,7 +27,9 @@
 // Ingest requires globally non-decreasing timestamps (the same contract as
 // core.Engine without a reordering stage). Matches are delivered by a
 // single merger goroutine in non-decreasing end-time order across all
-// queries and shards; per-query callbacks never run concurrently.
+// queries and shards; per-query callbacks never run concurrently. A
+// callback borrows its *core.Match until it returns: the merger recycles
+// every match of a release round once the round's callbacks are done.
 //
 // # Batch rounds
 //

@@ -29,6 +29,7 @@ func durableQuerySrcs() []string {
 func runDurable(t *testing.T, dir string, srcs []string, cfg Config, ecfg core.Config, inj *faultinject.Injector, events []*event.Event, from uint64, transcript *[]string) (*Runtime, error) {
 	t.Helper()
 	cfg.test.injector = inj
+	cfg.test.poison = true
 	cfg.Durability = &DurConfig{Dir: dir, Fsync: wal.FsyncBatch, CheckpointEvery: 300,
 		RecoverEmit: func(id QueryID, src string) func(*core.Match) {
 			return func(m *core.Match) {

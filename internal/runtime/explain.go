@@ -15,7 +15,9 @@ import (
 // op queue like registrations, so a snapshot reflects exactly the events of
 // every Ingest that returned before the request was sent — per-operator
 // counters are plain fields owned by the worker goroutine, and the queue is
-// the only safe place to read them.
+// the only safe place to read them. The worker fills result and hands the
+// op on to the merger with its batch report; the merger replies once it has
+// released what that report allows.
 type snapOp struct {
 	// gid, when non-zero, selects one engine group for a full EXPLAIN
 	// capture; zero captures only the per-group totals (metrics scrape).
@@ -23,9 +25,10 @@ type snapOp struct {
 	// prodID, when non-zero, additionally captures that producer's
 	// operator tree (shared-prefix consumer EXPLAIN).
 	prodID int64
-	// reply must be buffered with capacity >= the shard count so workers
-	// never block on it.
-	reply chan<- shardSnap
+	// reply must be buffered with capacity >= the shard count so the
+	// merger never blocks on it.
+	reply  chan<- shardSnap
+	result shardSnap
 }
 
 // groupTotals is one engine group's whole-tree counter roll-up.
@@ -91,12 +94,16 @@ func (w *worker) snapshot(op *snapOp) {
 			}
 		}
 	}
-	op.reply <- s
+	op.result = s
 }
 
 // snap broadcasts a snapOp to every shard (flushing pending ingest batches
 // first, so the snapshot covers them) and collects the replies indexed by
-// shard. Must be called with mu held; returns with mu released.
+// shard. The replies come from the merger, after it released every match
+// the shards' snapshot-time watermarks allow: when snap returns, each such
+// match's OnMatch has returned and MatchesDelivered counts it. So snap must
+// not run inside an OnMatch callback, which would wait on itself. Must be
+// called with mu held; returns with mu released.
 func (rt *Runtime) snap(gid, prodID int64) []shardSnap {
 	ts := rt.lastTs // captured under mu: the op closure runs unlocked
 	reply := make(chan shardSnap, rt.cfg.Shards)
@@ -104,6 +111,10 @@ func (rt *Runtime) snap(gid, prodID int64) []shardSnap {
 		return shardMsg{ts: ts, snap: &snapOp{gid: gid, prodID: prodID, reply: reply}}
 	})
 	rt.mu.Unlock()
+	// No reply waits on an exited merger: a Close or simulated crash that
+	// races this call closes the worker queues behind the snapshot ops, a
+	// worker reports each op before its final message, and the merger
+	// exits only after every shard's final one.
 	snaps := make([]shardSnap, rt.cfg.Shards)
 	for range snaps {
 		s := <-reply
@@ -341,7 +352,9 @@ type Metrics struct {
 // final aggregate Stats with no per-query detail (the workers are gone).
 // Stats is read after the shard snapshots return, so it covers at least
 // every event the routers had seen (Router.Events <= Stats.EventsIngested
-// even under a concurrent ingester).
+// even under a concurrent ingester), and every match the snapshot's
+// watermarks release has been delivered (see snap): MatchesDelivered
+// equals the OnMatch calls made so far. Not callable from OnMatch.
 func (rt *Runtime) Metrics() Metrics {
 	rt.mu.Lock()
 	if !rt.closed && rt.faults.dirty.Load() {

@@ -251,6 +251,6 @@ func (rt *Runtime) emitMatch(pm *pendingMatch) (ok bool) {
 		}
 	}()
 	rt.cfg.test.injector.Hit(faultinject.SiteEmit, MergerShard, int64(pm.id))
-	pm.emit(pm.m)
+	pm.emit(&pm.m.Match)
 	return true
 }

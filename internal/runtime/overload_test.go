@@ -130,7 +130,9 @@ func TestCloseContextBoundedDrainAndReawait(t *testing.T) {
 }
 
 // TestCloseRacesIngestRegisterUnregister hammers Close from one goroutine
-// while others ingest, register, unregister and inspect. Run under -race
+// while others ingest, register, unregister and inspect (Metrics included,
+// whose reply comes from the merger Close stops); odd rounds stop the
+// runtime with a simulated crash instead. Run under -race
 // this is the lock-ordering proof for the sendMu/mu split; semantically,
 // every call must return either success or a typed sentinel — never hang,
 // panic, or corrupt.
@@ -189,12 +191,15 @@ func TestCloseRacesIngestRegisterUnregister(t *testing.T) {
 					}
 				}
 				rt.Stats()
+				rt.Metrics() // waits on the merger, which Close may be stopping
 				rt.Faults()
 			}
 		}()
 
 		time.Sleep(10 * time.Millisecond)
-		if err := rt.Close(); err != nil {
+		if round%2 == 1 {
+			rt.crash() // stops the merger without the final flush
+		} else if err := rt.Close(); err != nil {
 			t.Fatalf("Close = %v", err)
 		}
 		close(stop)

@@ -72,6 +72,7 @@ func fanoutQuerySrcs(n, symbols int) []string {
 // delivery order, tagged with the query index.
 func fanoutRun(t testing.TB, srcs []string, cfg Config, ecfg core.Config, events []*event.Event) []string {
 	t.Helper()
+	cfg.test.poison = true
 	rt := New(cfg)
 	var transcript []string
 	for i, src := range srcs {
@@ -249,6 +250,7 @@ func TestRouterDifferentialOracle(t *testing.T) {
 // incremental add/remove.
 func churnRun(t testing.TB, srcs []string, cfg Config, ecfg core.Config, events []*event.Event) []string {
 	t.Helper()
+	cfg.test.poison = true
 	rt := New(cfg)
 	var transcript []string
 	register := func(i int) QueryID {

@@ -109,6 +109,9 @@ type testHooks struct {
 	// every worker dispatch boundary, the merger's emit path and the WAL
 	// writer; nil costs one nil check per dispatch.
 	injector *faultinject.Injector
+	// poison overwrites every match the merger recycles and keeps it out
+	// of the pool, so a callback that kept its match reads poisonEnd.
+	poison bool
 }
 
 func (c Config) withDefaults() Config {

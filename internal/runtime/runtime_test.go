@@ -75,6 +75,7 @@ func singleEngine(t testing.TB, q *query.Query, cfg core.Config, events []*event
 // multiset plus the delivered end-times in delivery order.
 func runtimeRun(t testing.TB, q *query.Query, cfg Config, ecfg core.Config, events []*event.Event) (map[string]int, []int64) {
 	t.Helper()
+	cfg.test.poison = true
 	rt := New(cfg)
 	got := map[string]int{}
 	var ends []int64

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/buffer"
@@ -63,17 +64,58 @@ type regOp struct {
 // matchSink collects one engine's emitted matches until the worker's visit
 // copies them out (collect, which truncates rather than releases the slice).
 // The engine's emit callback writes it synchronously inside the worker
-// goroutine, so it needs no locking.
-type matchSink struct{ buf []*core.Match }
+// goroutine, so it needs no locking. The engine lends its match only for
+// the callback, so add copies it into a recycled pooledMatch.
+type matchSink struct{ buf []*pooledMatch }
 
-func (s *matchSink) add(m *core.Match) { s.buf = append(s.buf, m) }
+func (s *matchSink) add(m *core.Match) {
+	pm := matchPool.Get().(*pooledMatch)
+	pm.evs = core.CopyMatch(&pm.Match, pm.evs, m)
+	s.buf = append(s.buf, pm)
+}
+
+// pooledMatch is the runtime's copy of one emitted match: the Match every
+// OnMatch of the match's queries borrows, plus the backing of its event
+// slices.
+type pooledMatch struct {
+	core.Match
+	evs []*event.Event
+}
+
+// matchPool recycles match copies: a worker's sink takes one per emitted
+// match, and the merger puts every match of a release round back once the
+// round's callbacks have returned, so delivering a match allocates nothing.
+// A sync.Pool rather than a per-shard free list, because a free list would
+// keep the in-flight high-water mark (thousands of matches per batch on a
+// match-heavy query) alive across GCs; the pool lets a GC shrink it.
+var matchPool = sync.Pool{New: func() any { return new(pooledMatch) }}
+
+// recycle returns a delivered match to the pool, dropping its event
+// pointers first so an idle pooled match pins no stream data. Under the
+// poison test hook the match is overwritten instead and never reused, so
+// a callback that kept it past return reads poisonEnd.
+func (rt *Runtime) recycle(m *pooledMatch) {
+	clear(m.Fields)
+	clear(m.evs)
+	if rt.cfg.test.poison {
+		m.Start, m.End = poisonEnd, poisonEnd
+		return
+	}
+	matchPool.Put(m)
+}
+
+// poisonEnd is the Start and End of a match recycled under the poison
+// test hook.
+const poisonEnd = math.MinInt64
 
 // pendingMatch is one match waiting in the merger for its watermark.
+// Dedupe aliases share one match; own marks the entry that recycles it.
 type pendingMatch struct {
 	end   int64
 	shard int
 	seq   uint64 // per-shard emission order, for a deterministic tie-break
-	m     *core.Match
+	m     *pooledMatch
+	own   bool
 	emit  func(*core.Match)
 	id    QueryID // owning query, for merger-side fault containment
 }
@@ -90,12 +132,15 @@ func putMatchBatch(b []pendingMatch) { matchBatchPool.Put(b) }
 // engines emitted this batch (sorted by end-time) and the shard's new
 // watermark — a lower bound on the End of any match the shard may still
 // produce. final marks the worker's last message, sent after Close
-// flushed every engine.
+// flushed every engine. snap, when the batch was a snapshot op, carries
+// the filled snapshot, which the merger answers only after releasing
+// what the new watermark allows (see Runtime.snap).
 type mergeMsg struct {
 	shard     int
 	matches   []pendingMatch
 	watermark int64
 	final     bool
+	snap      *snapOp
 }
 
 // engineGroup is one physical engine on this shard together with the
@@ -376,19 +421,16 @@ func (w *worker) flushGroup(g *engineGroup) {
 	w.collect(g)
 }
 
-// collect moves a group's emitted matches into the message's batch. The
-// first slot of a group delivers the engine's matches as is; further slots
-// (dedupe aliases) get private shallow clones, preserving the exact
-// per-slot emission a private twin engine would have produced. seq carries
-// the engine emission index until gathered stamps it.
+// collect moves a group's emitted matches into the message's batch, one
+// entry per slot: dedupe aliases share the group's one copy of each match
+// (it is read-only to their callbacks), and the first slot's entry owns
+// it. Equal ends put every alias entry in the same release round. seq
+// carries the engine emission index until gathered stamps it.
 func (w *worker) collect(g *engineGroup) {
 	ms := g.sink.buf
 	for si, s := range g.slots {
 		for i, m := range ms {
-			if si > 0 {
-				m = cloneMatch(m)
-			}
-			w.out = append(w.out, pendingMatch{end: m.End, shard: w.id, seq: uint64(i), m: m, emit: s.emit, id: s.id})
+			w.out = append(w.out, pendingMatch{end: m.End, shard: w.id, seq: uint64(i), m: m, own: si == 0, emit: s.emit, id: s.id})
 		}
 	}
 	clear(ms)
@@ -643,7 +685,7 @@ func (w *worker) run(out chan<- mergeMsg) {
 		// The events now live in engine buffers: release the carrier slice.
 		event.PutBatch(msg.events)
 		w.sweepQuarantined()
-		out <- mergeMsg{shard: w.id, matches: w.gathered(), watermark: w.wm, final: false}
+		out <- mergeMsg{shard: w.id, matches: w.gathered(), watermark: w.wm, snap: msg.snap}
 	}
 
 	// Simulated crash: no final flush — a real crash cannot confirm the
@@ -668,16 +710,6 @@ func (w *worker) run(out chan<- mergeMsg) {
 		w.flushGroup(g)
 	}
 	out <- mergeMsg{shard: w.id, matches: w.gathered(), watermark: math.MaxInt64, final: true}
-}
-
-// cloneMatch gives a dedupe alias a private Match header and Fields slice.
-// The constituent events (and closure-group slices) inside Fields are
-// shared with the original — they are immutable stream data every engine
-// already shares.
-func cloneMatch(m *core.Match) *core.Match {
-	c := *m
-	c.Fields = append([]core.Field(nil), m.Fields...)
-	return &c
 }
 
 // matchHeap is a hand-rolled min-heap of pending matches ordered by
@@ -741,6 +773,7 @@ func (h *matchHeap) pop() pendingMatch {
 // output across all queries and shards. Per-query callbacks run here, so
 // they are never invoked concurrently; a panicking callback quarantines
 // its query (emitMatch) and its remaining queued matches are skipped.
+// Every released match is recycled once its round's callbacks returned.
 func (rt *Runtime) runMerger() {
 	defer close(rt.merger)
 	n := rt.cfg.Shards
@@ -750,39 +783,12 @@ func (rt *Runtime) runMerger() {
 	}
 	var h matchHeap
 	var skip map[QueryID]bool // queries whose OnMatch panicked
-	var round []pendingMatch  // reused release scratch (zero steady-state allocs)
+	// Reused release scratch (zero steady-state allocs): round is what the
+	// callbacks see, done every match the round took off the heap.
+	var round []pendingMatch
+	var done []*pooledMatch
 	finals := 0
-	release := func() {
-		min := wms[0]
-		for _, wm := range wms[1:] {
-			if wm < min {
-				min = wm
-			}
-		}
-		// Strictly below the watermark: a shard at watermark W may still
-		// produce a match ending exactly at W.
-		round = round[:0]
-		for len(h) > 0 && h[0].end < min {
-			pm := h.pop()
-			if skip != nil && skip[pm.id] {
-				continue
-			}
-			if rt.supActive {
-				// Crash recovery: suppress replayed matches at or below the
-				// recovered durable emit watermark — they were delivered
-				// before the crash. Matches release in non-decreasing end
-				// order, so once one passes the watermark the cursor is done.
-				if pm.end < rt.supEnd || (pm.end == rt.supEnd && rt.supSeen < rt.supCount) {
-					if pm.end == rt.supEnd {
-						rt.supSeen++
-					}
-					rt.suppressed.Add(1)
-					continue
-				}
-				rt.supActive = false
-			}
-			round = append(round, pm)
-		}
+	deliver := func() {
 		if len(round) == 0 {
 			return
 		}
@@ -806,7 +812,6 @@ func (rt *Runtime) runMerger() {
 				// these matches). Drop the round — every constituent event is
 				// already durably logged ahead of the engines, so replay
 				// rebuilds and delivers these matches itself.
-				clear(round)
 				return
 			}
 			rt.wmEnd.Store(end)
@@ -822,7 +827,49 @@ func (rt *Runtime) runMerger() {
 				skip[pm.id] = true
 			}
 		}
+	}
+	release := func() {
+		min := wms[0]
+		for _, wm := range wms[1:] {
+			if wm < min {
+				min = wm
+			}
+		}
+		// Strictly below the watermark: a shard at watermark W may still
+		// produce a match ending exactly at W. So a round takes every match
+		// at its largest end, which the WAL's (end, count) cursor relies on.
+		for len(h) > 0 && h[0].end < min {
+			pm := h.pop()
+			if pm.own {
+				done = append(done, pm.m)
+			}
+			if skip != nil && skip[pm.id] {
+				continue
+			}
+			if rt.supActive {
+				// Crash recovery: suppress replayed matches at or below the
+				// recovered durable emit watermark — they were delivered
+				// before the crash. Matches release in non-decreasing end
+				// order, so once one passes the watermark the cursor is done.
+				if pm.end < rt.supEnd || (pm.end == rt.supEnd && rt.supSeen < rt.supCount) {
+					if pm.end == rt.supEnd {
+						rt.supSeen++
+					}
+					rt.suppressed.Add(1)
+					continue
+				}
+				rt.supActive = false
+			}
+			round = append(round, pm)
+		}
+		deliver()
 		clear(round)
+		round = round[:0]
+		for _, m := range done {
+			rt.recycle(m)
+		}
+		clear(done)
+		done = done[:0]
 	}
 	for msg := range rt.mergeCh {
 		for _, pm := range msg.matches {
@@ -833,6 +880,11 @@ func (rt *Runtime) runMerger() {
 			wms[msg.shard] = msg.watermark
 		}
 		release()
+		if msg.snap != nil {
+			// The Metrics/Explain barrier: everything this shard's
+			// snapshot-time watermark lets go has been delivered.
+			msg.snap.reply <- msg.snap.result
+		}
 		if msg.final {
 			finals++
 			if finals == n {

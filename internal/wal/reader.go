@@ -29,6 +29,10 @@ type ScanResult struct {
 	// HaveWM reports whether any watermark record was found.
 	WM     EmitWM
 	HaveWM bool
+	// EmitWMs is every emit watermark record, in log order. Each release
+	// round writes one and takes every match at its largest end, so on a
+	// log no recovery has rewritten the Ends strictly increase.
+	EmitWMs []EmitWM
 	// Segments is the number of segment files scanned.
 	Segments int
 	// LastSeg is the highest segment ordinal present (0 when none).
@@ -287,6 +291,7 @@ func applyFrame(payload []byte, res *ScanResult, dict *schemaDict) error {
 		if err != nil {
 			return err
 		}
+		res.EmitWMs = append(res.EmitWMs, wm)
 		// lexicographic max: replay-time rewrites never regress the
 		// durable watermark.
 		if !res.HaveWM || res.WM.Less(wm) {

@@ -39,10 +39,14 @@ type RouterMetrics = runtime.RouterMetrics
 // Explain assembles the zstream-explain/v1 document for a live query. The
 // snapshot rides the worker op queues, so its counters cover exactly the
 // events whose Ingest returned before the call; under adaptation, shards
-// running different plans appear as separate plan variants.
+// running different plans appear as separate plan variants. Like Metrics,
+// it waits for the merger and must not be called from an OnMatch callback.
 func (r *Runtime) Explain(id QueryID) (*ExplainDoc, error) { return r.rt.Explain(id) }
 
 // Metrics captures an observability snapshot; safe to call while ingesting.
+// It returns once every match releasable at the snapshot has been
+// delivered, so MatchesDelivered is exact; calling it from an OnMatch
+// callback deadlocks.
 func (r *Runtime) Metrics() Metrics { return r.rt.Metrics() }
 
 // WriteMetrics renders a Metrics snapshot in Prometheus text exposition

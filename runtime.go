@@ -82,7 +82,10 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 // Engine construction errors are reported here, before the query is
 // installed anywhere. The query observes events ingested after Register
 // returns; its OnMatch callback runs on the merger goroutine, in end-time
-// order merged globally across all queries and shards.
+// order merged globally across all queries and shards. The callback
+// borrows each *Match until it returns: the runtime recycles the match
+// afterwards (and queries deduplicated onto one engine share it), so a
+// callback that keeps one keeps m.Clone().
 func (r *Runtime) Register(q *Query, opts ...Option) (QueryID, error) {
 	ec := engineConfig{cfg: defaultCoreConfig()}
 	for _, o := range opts {

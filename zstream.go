@@ -45,6 +45,10 @@
 //	}
 //	rt.Close()
 //
+// A *Match passed to an OnMatch callback is borrowed: it is valid only
+// until the callback returns (like bufio.Scanner.Bytes), for an Engine and
+// a Runtime alike. A callback that keeps a match keeps m.Clone().
+//
 // Sharded evaluation is partition-local: for queries that equate the
 // partition key across all event classes (per-symbol, per-IP, ... — the
 // common CEP shape), the merged output is identical to a single Engine
@@ -70,6 +74,7 @@ type Value = event.Value
 type Schema = event.Schema
 
 // Match is one detected composite event, with the RETURN-clause fields.
+// A callback borrows it until it returns; Clone copies one to keep.
 type Match = core.Match
 
 // Field is one RETURN-clause output of a match.
@@ -98,6 +103,12 @@ var (
 	// (id, name, price, volume).
 	NewStock = event.NewStock
 )
+
+// ErrKleeneAnchor is returned, wrapped, by NewEngine and Runtime.Register
+// for a query with a Kleene closure next to anything but a plain event
+// class: a closure may open or close the pattern, and otherwise stands
+// between two plain classes.
+var ErrKleeneAnchor = plan.ErrKleeneAnchor
 
 // Query is a compiled CEP query.
 type Query struct {
@@ -164,6 +175,7 @@ func defaultCoreConfig() core.Config {
 }
 
 // OnMatch installs the match callback; matches arrive in end-time order.
+// Each *Match is valid only until f returns (keep m.Clone() instead).
 func OnMatch(f func(*Match)) Option {
 	return func(c *engineConfig) { c.emit = f }
 }
@@ -250,7 +262,8 @@ func (e *Engine) Explain() string { return e.eng.Plan().Explain() }
 // Run consumes events from in and sends matches on the returned channel,
 // which is closed after in closes and the final flush completes. Matches
 // are sent in end-time order (the same order OnMatch observes; an OnMatch
-// option passed here is overridden by the channel send). The engine is
+// option passed here is overridden by the channel send), each a Clone the
+// receiver owns. The engine is
 // constructed before the consuming goroutine starts, so a bad query or
 // option combination is reported synchronously as an error and no
 // goroutine is leaked. The engine must not be used concurrently elsewhere.
@@ -260,7 +273,7 @@ func (q *Query) Run(in <-chan *Event, opts ...Option) (<-chan *Match, error) {
 	// caller-owned backing array shared with other option slices.
 	all := make([]Option, 0, len(opts)+1)
 	all = append(all, opts...)
-	all = append(all, OnMatch(func(m *Match) { out <- m }))
+	all = append(all, OnMatch(func(m *Match) { out <- m.Clone() }))
 	eng, err := NewEngine(q, all...)
 	if err != nil {
 		return nil, err

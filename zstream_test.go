@@ -57,7 +57,7 @@ func TestQuery1EndToEnd(t *testing.T) {
 		RETURN T1, T2, T3`)
 	var matches []*zstream.Match
 	eng, err := zstream.NewEngine(q, zstream.OnMatch(func(m *zstream.Match) {
-		matches = append(matches, m)
+		matches = append(matches, m.Clone())
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestQuery2NegationEndToEnd(t *testing.T) {
 		WITHIN 10 secs
 		RETURN T1, T3`)
 	var got []*zstream.Match
-	eng, err := zstream.NewEngine(q, zstream.OnMatch(func(m *zstream.Match) { got = append(got, m) }))
+	eng, err := zstream.NewEngine(q, zstream.OnMatch(func(m *zstream.Match) { got = append(got, m.Clone()) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestQuery3KleeneEndToEnd(t *testing.T) {
 		WITHIN 10 secs
 		RETURN T1, sum(T2.volume) AS vol, T3`)
 	var got []*zstream.Match
-	eng, err := zstream.NewEngine(q, zstream.OnMatch(func(m *zstream.Match) { got = append(got, m) }))
+	eng, err := zstream.NewEngine(q, zstream.OnMatch(func(m *zstream.Match) { got = append(got, m.Clone()) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,17 @@ func TestRunChannels(t *testing.T) {
 	in <- tick(2, 2, "B", 1)
 	in <- tick(3, 3, "A", 1)
 	close(in)
-	var n int
-	for range out {
-		n++
+	var got []*zstream.Match
+	for m := range out {
+		got = append(got, m)
 	}
-	if n != 1 {
-		t.Errorf("channel matches = %d", n)
+	// Each match on the channel is the receiver's own, read after the
+	// engine moved on.
+	if len(got) != 1 {
+		t.Fatalf("channel matches = %d", len(got))
+	}
+	if got[0].End != 2 || got[0].Fields[0].Events[0].Ts != 1 {
+		t.Errorf("channel match = %+v", got[0])
 	}
 }
 
@@ -315,6 +320,14 @@ func TestRuntimeRegisterError(t *testing.T) {
 	}
 	if err := rt.Unregister(zstream.QueryID(999)); !errors.Is(err, zstream.ErrUnknownQuery) {
 		t.Errorf("Unregister(999) = %v", err)
+	}
+	// A closure beside a negation has no plain class to anchor to.
+	kq := zstream.MustCompile("PATTERN A;B+;!C;D WITHIN 10")
+	if _, err := rt.Register(kq); !errors.Is(err, zstream.ErrKleeneAnchor) {
+		t.Errorf("Register(A;B+;!C;D) = %v, want ErrKleeneAnchor", err)
+	}
+	if _, err := zstream.NewEngine(kq); !errors.Is(err, zstream.ErrKleeneAnchor) {
+		t.Errorf("NewEngine(A;B+;!C;D) = %v, want ErrKleeneAnchor", err)
 	}
 }
 
